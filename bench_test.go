@@ -400,7 +400,7 @@ func BenchmarkConstraintOverhead(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B9 — ablation: hash equi-join fast path vs nested loops
+// B9 — ablation: planned hash join vs naive nested loops
 // ---------------------------------------------------------------------------
 
 func BenchmarkJoinAblation(b *testing.B) {
@@ -430,9 +430,9 @@ func BenchmarkJoinAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		sel := stmt.(*sqlast.Select)
-		for _, mode := range []string{"hash", "nested"} {
+		for _, mode := range []string{"planned", "naive"} {
 			b.Run(fmt.Sprintf("%s/rows=%d", mode, n), func(b *testing.B) {
-				env := &exec.Env{Store: st, NoHashJoin: mode == "nested"}
+				env := &exec.Env{Store: st, Naive: mode == "naive"}
 				for i := 0; i < b.N; i++ {
 					if _, err := env.Query(sel); err != nil {
 						b.Fatal(err)

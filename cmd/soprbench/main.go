@@ -436,8 +436,8 @@ func must2(err error) {
 // ---------------------------------------------------------------------------
 
 func b9() {
-	header("B9", "ablation: hash equi-join fast path vs nested loops")
-	fmt.Printf("%-8s %14s %14s %10s\n", "rows", "hash ms", "nested ms", "speedup")
+	header("B9", "ablation: planned hash join vs naive nested loops")
+	fmt.Printf("%-8s %14s %14s %10s\n", "rows", "planned ms", "naive ms", "speedup")
 	for _, n := range []int{100, 500, 1000, 2000} {
 		st := sstorage.New()
 		for _, name := range []string{"l", "r"} {
@@ -455,13 +455,13 @@ func b9() {
 		stmt, err := sqlparse.ParseStatement(`select count(*) from l, r where l.k = r.k and l.v > 2`)
 		must(err)
 		sel := stmt.(*sqlast.Select)
-		hashEnv := &exec.Env{Store: st}
-		nestedEnv := &exec.Env{Store: st, NoHashJoin: true}
-		hash := timeIt(5, func() { _, err := hashEnv.Query(sel); must(err) })
-		nested := timeIt(3, func() { _, err := nestedEnv.Query(sel); must(err) })
+		plannedEnv := &exec.Env{Store: st}
+		naiveEnv := &exec.Env{Store: st, Naive: true}
+		planned := timeIt(5, func() { _, err := plannedEnv.Query(sel); must(err) })
+		naive := timeIt(3, func() { _, err := naiveEnv.Query(sel); must(err) })
 		fmt.Printf("%-8d %14.2f %14.2f %10.1f\n", n,
-			float64(hash.Microseconds())/1000, float64(nested.Microseconds())/1000,
-			float64(nested)/float64(hash))
+			float64(planned.Microseconds())/1000, float64(naive.Microseconds())/1000,
+			float64(naive)/float64(planned))
 	}
 }
 
@@ -730,7 +730,7 @@ func b13b() {
 // b14 measures the cost-based join planner on multi-join rule cascades:
 // two chained rules whose conditions each join a transition table against
 // two base tables, with the FROM clause deliberately listing the largest
-// table first. With the planner off the engine evaluates the condition in
+// table first. Under Config.Naive the engine evaluates the condition in
 // FROM order — a three-way nested loop over big × mid × inserted. The
 // planner reorders the join to start from the (tiny) transition table and
 // hash-joins outward, so the per-consideration cost collapses from
@@ -750,8 +750,8 @@ func b14() {
 		_, err := eng.Exec(b.String())
 		must(err)
 	}
-	setup := func(noPlanner bool, n int) *engine.Engine {
-		eng := engine.New(engine.Config{NoPlanner: noPlanner})
+	setup := func(naive bool, n int) *engine.Engine {
+		eng := engine.New(engine.Config{Naive: naive})
 		exec1 := func(s string) {
 			_, err := eng.Exec(s)
 			must(err)
@@ -773,11 +773,11 @@ func b14() {
 	}
 	fmt.Printf("%-10s %14s %14s %10s\n", "big rows", "planned ms", "naive ms", "speedup")
 	for _, n := range []int{500, 1000, 2000} {
-		run := func(noPlanner bool) time.Duration {
-			eng := setup(noPlanner, n)
+		run := func(naive bool) time.Duration {
+			eng := setup(naive, n)
 			base := 0
 			reps := 5
-			if noPlanner {
+			if naive {
 				reps = 3
 			}
 			return timeIt(reps, func() {

@@ -55,20 +55,12 @@ type Config struct {
 	// save the subset ... relevant to the particular rule"). Used by the
 	// B10 ablation benchmark; semantics are identical either way.
 	FullTransInfo bool
-	// NoIndex disables the secondary-index access path for every
-	// evaluation the engine performs (queries, conditions, actions),
-	// forcing heap scans — the engine-wide form of exec.Env.NoIndex.
-	// Used by the differential harness's index-ablation parity check;
-	// semantics are identical either way.
-	NoIndex bool
-	// NoHashJoin disables the hash equi-join fast path engine-wide (see
-	// exec.Env.NoHashJoin). Semantics are identical either way.
-	NoHashJoin bool
-	// NoPlanner disables the cost-based join planner engine-wide (see
-	// exec.Env.NoPlanner), leaving the legacy access paths. Used by the
-	// differential harness's planner-ablation parity check; semantics are
-	// identical either way.
-	NoPlanner bool
+	// Naive turns every query optimization off for every evaluation the
+	// engine performs (queries, conditions, actions): heap scans and
+	// FROM-order nested loops — the engine-wide form of exec.Env.Naive.
+	// The differential harness's reference twin; semantics are identical
+	// either way.
+	Naive bool
 }
 
 const defaultMaxRuleTransitions = 10000
@@ -409,8 +401,7 @@ func (e *Engine) ExecBatch(srcs []string) (*TxnResult, error) {
 // consistent committed state (sopr.SynchronizedDB relies on exactly this
 // property).
 func (e *Engine) Query(sel *sqlast.Select) (*exec.Result, error) {
-	env := &exec.Env{Store: e.snap.Load().store, NoIndex: e.cfg.NoIndex,
-		NoHashJoin: e.cfg.NoHashJoin, NoPlanner: e.cfg.NoPlanner, Counters: &e.planCounters}
+	env := &exec.Env{Store: e.snap.Load().store, Naive: e.cfg.Naive, Counters: &e.planCounters}
 	return env.Query(sel)
 }
 
@@ -418,19 +409,16 @@ func (e *Engine) Query(sel *sqlast.Select) (*exec.Result, error) {
 // statement, against the published committed snapshot, without executing
 // it.
 func (e *Engine) Explain(ex *sqlast.Explain) (*exec.Result, error) {
-	env := &exec.Env{Store: e.snap.Load().store, NoIndex: e.cfg.NoIndex,
-		NoHashJoin: e.cfg.NoHashJoin, NoPlanner: e.cfg.NoPlanner}
+	env := &exec.Env{Store: e.snap.Load().store, Naive: e.cfg.Naive}
 	return env.Explain(ex.Stmt)
 }
 
 // newEnv returns a fresh evaluation environment carrying the engine's
-// ablation flags (and, inside rule processing, the rule's transition
-// tables). Every evaluation the engine performs goes through here so that
-// Config.NoIndex/NoHashJoin ablations cover conditions and actions, not
-// just top-level queries.
+// Naive flag (and, inside rule processing, the rule's transition tables).
+// Every evaluation the engine performs goes through here so that
+// Config.Naive covers conditions and actions, not just top-level queries.
 func (e *Engine) newEnv(trans *rules.TransSource) *exec.Env {
-	env := &exec.Env{Store: e.store, NoIndex: e.cfg.NoIndex,
-		NoHashJoin: e.cfg.NoHashJoin, NoPlanner: e.cfg.NoPlanner, Counters: &e.planCounters}
+	env := &exec.Env{Store: e.store, Naive: e.cfg.Naive, Counters: &e.planCounters}
 	if trans != nil {
 		env.Trans = trans
 	}

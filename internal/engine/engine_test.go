@@ -598,3 +598,29 @@ func TestStoreBeginGuard(t *testing.T) {
 	}
 	e.Store().Rollback()
 }
+
+// TestIncomparableJoinErrorParity: an equi-conjunct over incomparable
+// column kinds is not a join key, so the default engine reports the same
+// comparison error as a Naive one — for a top-level query and inside a
+// rule condition alike — rather than a planned join skipping every pair.
+func TestIncomparableJoinErrorParity(t *testing.T) {
+	const want = "cannot compare VARCHAR with INTEGER"
+	for _, naive := range []bool{false, true} {
+		e := newEmpEngine(t, Config{Naive: naive})
+		mustExec(t, e, `insert into emp values ('a', 1, 10, 1); insert into dept values (1, 1);
+			create table audit (n int);
+			create rule r when inserted into dept
+				if exists (select * from emp e, inserted dept d where e.name = d.dept_no)
+				then insert into audit values (1) end`)
+		_, err := e.QueryString(`select e.name from emp e, dept d where e.name = d.dept_no`)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("naive=%v query: error %v, want %q", naive, err, want)
+		}
+		if _, err := e.Exec(`insert into dept values (2, 2)`); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("naive=%v rule condition: error %v, want %q", naive, err, want)
+		}
+		if n := count(t, e, "dept"); n != 1 {
+			t.Errorf("naive=%v: dept has %d rows after the failed transaction, want 1", naive, n)
+		}
+	}
+}

@@ -15,9 +15,11 @@ package exec
 // select-observation (Section 5.1) are indistinguishable from the scan
 // path. Whenever a conjunct cannot be proven independent of the block —
 // or an index cannot answer a probe exactly (see storage.probeKey) — the
-// pass declines and the scan path runs. Like the hash-join fast path,
+// pass declines and the scan path runs. Like the planned join (plan.go),
 // indexed access evaluates WHERE only on candidate rows, so a predicate
 // whose evaluation errors on non-candidate rows may not error here.
+// indexProbeFor is the path's one entry point, for queries, DML and
+// EXPLAIN alike.
 
 import (
 	"sopr/internal/catalog"
@@ -59,8 +61,8 @@ type indexProbe struct {
 // entries through a secondary index when a sargable conjunct allows it
 // and falling back to resolveTableRef (heap scan) otherwise.
 func (e *Env) materializeFrom(tr *sqlast.TableRef, target int, sel *sqlast.Select, infos []fromBinding, parent *scope) (*relation, error) {
-	if tr.Trans == sqlast.TransNone && !e.NoIndex && sel.Where != nil && infos[target].schema != nil {
-		if probe := e.findIndexProbe(sel.Where, target, infos, parent); probe != nil {
+	if tr.Trans == sqlast.TransNone {
+		if probe := e.indexProbeFor(sel.Where, target, infos, parent); probe != nil {
 			schema := infos[target].schema
 			tuples, ok, err := e.Store.IndexedLookup(schema.Name, probe.col, probe.vals...)
 			if err != nil {
@@ -81,6 +83,16 @@ func (e *Env) materializeFrom(tr *sqlast.TableRef, target int, sel *sqlast.Selec
 		}
 	}
 	return e.resolveTableRef(tr)
+}
+
+// indexProbeFor plans index access for FROM entry target of a block with
+// predicate where. It returns nil — heap scan — under Naive, with no
+// WHERE, for an unknown table, or when findIndexProbe finds no probe.
+func (e *Env) indexProbeFor(where sqlast.Expr, target int, infos []fromBinding, parent *scope) *indexProbe {
+	if e.Naive || where == nil || infos[target].schema == nil {
+		return nil
+	}
+	return e.findIndexProbe(where, target, infos, parent)
 }
 
 // findIndexProbe searches the top-level AND conjuncts of where for a
@@ -396,11 +408,7 @@ func exprUsesSelect(x sqlast.Expr) bool {
 // false when the pass declines (caller scans). The returned tuples are in
 // heap-scan order and still need the full predicate applied.
 func (e *Env) indexedMatches(schema *catalog.Table, binding string, where sqlast.Expr) (tuples []*storage.Tuple, ok bool, err error) {
-	if e.NoIndex || where == nil {
-		return nil, false, nil
-	}
-	infos := []fromBinding{{binding: binding, schema: schema}}
-	probe := e.findIndexProbe(where, 0, infos, nil)
+	probe := e.indexProbeFor(where, 0, []fromBinding{{binding: binding, schema: schema}}, nil)
 	if probe == nil {
 		return nil, false, nil
 	}

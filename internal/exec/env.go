@@ -84,22 +84,12 @@ type Env struct {
 	Store    Store
 	Trans    TransTableSource
 	Observer SelectObserver
-	// NoHashJoin disables the hash equi-join fast path (used by the
-	// ablation benchmark; semantics are identical either way).
-	NoHashJoin bool
-	// NoIndex disables the secondary-index access path (see access.go),
-	// forcing heap scans. Used by the differential tests and the ablation
-	// benchmark; semantics are identical either way.
-	NoIndex bool
-	// NoPlanner disables the cost-based Volcano join planner (plan.go),
-	// leaving only the legacy two-relation hash fast path. Ablation flag
-	// for the differential tests and benchmarks; semantics are identical
-	// either way.
-	NoPlanner bool
-	// JoinBuildBudget caps the build-side row count of a planned hash
-	// join; larger build sides use a sort-merge join instead. 0 means the
-	// default (defaultJoinBuildBudget).
-	JoinBuildBudget int
+	// Naive turns every optimization off: heap scans instead of index
+	// probes (indexProbeFor) and FROM-order nested loops instead of planned
+	// joins (planJoins). It is the reference configuration of the
+	// differential tests and the baseline of the ablation benchmarks;
+	// semantics are identical either way.
+	Naive bool
 	// Counters, when non-nil, receives planner telemetry (shared across
 	// the engine's Envs; all fields are atomics).
 	Counters *PlanCounters

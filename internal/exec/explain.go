@@ -4,7 +4,7 @@ package exec
 // without executing it. The output is one "plan" column whose rows are the
 // lines of an indented operator tree — access paths with cardinality
 // estimates from the storage layer's statistics, the cost-based join
-// order (shared with the execution-time planner via orderJoins), and the
+// order (the executor's own decision, planJoins), and the
 // post-processing pipeline (filter, aggregate, distinct, order by, limit).
 
 import (
@@ -26,9 +26,9 @@ func (e *Env) Explain(stmt sqlast.Statement) (*Result, error) {
 	case *sqlast.Insert:
 		lines, err = e.explainInsert(s)
 	case *sqlast.Delete:
-		lines, err = e.explainMatch("delete from "+s.Table, s.Table, s.Alias, s.Where)
+		lines, err = e.explainMatch("delete from "+s.Table, &sqlast.TableRef{Table: s.Table, Alias: s.Alias}, s.Where)
 	case *sqlast.Update:
-		lines, err = e.explainMatch("update "+s.Table, s.Table, s.Alias, s.Where)
+		lines, err = e.explainMatch("update "+s.Table, &sqlast.TableRef{Table: s.Table, Alias: s.Alias}, s.Where)
 	default:
 		return nil, fmt.Errorf("exec: cannot explain %T", stmt)
 	}
@@ -52,8 +52,8 @@ type accessPath struct {
 func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
 	ind := strings.Repeat("  ", depth)
 	mode := "cost-based planner"
-	if e.NoPlanner {
-		mode = "planner disabled"
+	if e.Naive {
+		mode = "naive"
 	}
 	lines := []string{ind + "select (" + mode + ")"}
 	add := func(extra int, s string) {
@@ -63,7 +63,7 @@ func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
 	infos := e.planBindings(sel.From)
 	paths := make([]accessPath, len(sel.From))
 	for i, tr := range sel.From {
-		p, err := e.explainAccess(tr, i, sel, infos)
+		p, err := e.explainAccess(tr, i, sel.Where, infos)
 		if err != nil {
 			return nil, err
 		}
@@ -118,21 +118,18 @@ func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
 	case len(sel.From) == 1:
 		add(0, paths[0].desc)
 	default:
-		joinLines, err := e.explainJoins(sel, infos, paths)
-		if err != nil {
-			return nil, err
-		}
-		for _, jl := range joinLines {
+		for _, jl := range e.explainJoins(sel, infos, paths) {
 			add(0, jl)
 		}
 	}
 	return lines, nil
 }
 
-// explainAccess mirrors materializeFrom's choice for one FROM entry, using
-// ClassifyProbe to cost the probe at plan time — including the 2^53
-// integer-keyspace fallback, which is reported (and costed) as a scan.
-func (e *Env) explainAccess(tr *sqlast.TableRef, target int, sel *sqlast.Select, infos []fromBinding) (accessPath, error) {
+// explainAccess mirrors materializeFrom's choice for one FROM entry (or
+// the single table of a DELETE/UPDATE), using ClassifyProbe to cost the
+// probe at plan time — including the 2^53 integer-keyspace fallback, which
+// is reported (and costed) as a scan.
+func (e *Env) explainAccess(tr *sqlast.TableRef, target int, where sqlast.Expr, infos []fromBinding) (accessPath, error) {
 	name := tr.Binding()
 	if tr.Trans != sqlast.TransNone {
 		return accessPath{desc: "transition scan " + strings.ToLower(tr.String()) + " (rows ?)", rows: 1}, nil
@@ -150,10 +147,7 @@ func (e *Env) explainAccess(tr *sqlast.TableRef, target int, sel *sqlast.Select,
 		label += " " + name
 	}
 	seq := accessPath{desc: fmt.Sprintf("seq scan %s (rows %d)", label, rows), rows: float64(rows)}
-	if e.NoIndex || sel.Where == nil {
-		return seq, nil
-	}
-	probe := e.findIndexProbe(sel.Where, target, infos, nil)
+	probe := e.indexProbeFor(where, target, infos, nil)
 	if probe == nil {
 		return seq, nil
 	}
@@ -183,11 +177,12 @@ func (e *Env) explainAccess(tr *sqlast.TableRef, target int, sel *sqlast.Select,
 	}
 }
 
-// explainJoins renders the join tree for a multi-relation block: the
-// cost-based left-deep order when the planner applies, the nested-loop
-// (FROM-order) tree otherwise.
-func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []accessPath) ([]string, error) {
+// explainJoins renders the join tree for a multi-relation block: the plan
+// planJoins returns — the same decision the executor makes — or, when it
+// returns nil, the nested-loop (FROM-order) tree.
+func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []accessPath) []string {
 	prels := make([]*relation, len(infos))
+	rows := make([]float64, len(infos))
 	for i, fb := range infos {
 		rel := &relation{binding: fb.binding}
 		if fb.schema != nil {
@@ -196,44 +191,20 @@ func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []acce
 		}
 		rel.trans = sel.From[i].Trans != sqlast.TransNone
 		prels[i] = rel
+		rows[i] = paths[i].rows
 	}
-	var conds []equiCond
-	if sel.Where != nil {
-		conds = e.collectEquiConds(sel.Where, prels)
-	}
-	planned := !e.NoPlanner && !e.NoHashJoin && len(conds) > 0
-
-	if !planned {
+	plan := e.planJoins(sel.Where, prels, rows, e.statsDistinctEstimator(prels))
+	if plan == nil {
 		lines := []string{"nested loop (FROM order)"}
 		for _, p := range paths {
 			lines = append(lines, "  "+p.desc)
 		}
-		if n := len(prels); n == 2 && !e.NoHashJoin && sel.Where != nil {
-			if c0, c1, ok := equiJoinConjunct(sel.Where, prels[0], prels[1]); ok {
-				lines[0] = fmt.Sprintf("hash join (%s.%s = %s.%s)",
-					prels[0].binding, prels[0].cols[c0], prels[1].binding, prels[1].cols[c1])
-				for i := range paths {
-					lines[i+1] = "  " + paths[i].desc
-				}
-			}
-		}
-		return lines, nil
+		return lines
 	}
-
-	rows := make([]float64, len(prels))
-	for i, p := range paths {
-		rows[i] = p.rows
-	}
-	dist := e.statsDistinctEstimator(prels)
-	start, steps := orderJoins(rows, dist, conds, e.joinBuildBudget())
 
 	// Render the left-deep tree from the root down.
-	lines := []string{paths[start].desc}
-	for _, st := range steps {
-		algo := "hash join"
-		if st.merge {
-			algo = "merge join"
-		}
+	lines := []string{paths[plan.start].desc}
+	for _, st := range plan.steps {
 		var on []string
 		for _, c := range st.conds {
 			eq := fmt.Sprintf("%s.%s = %s.%s",
@@ -244,7 +215,7 @@ func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []acce
 			}
 			on = append(on, eq)
 		}
-		head := fmt.Sprintf("%s (%s) (est rows %.0f)", algo, strings.Join(on, " and "), st.est)
+		head := fmt.Sprintf("hash join (%s) (est rows %.0f)", strings.Join(on, " and "), st.est)
 		if len(st.conds) == 0 {
 			head = fmt.Sprintf("cross join (est rows %.0f)", st.est)
 		}
@@ -255,7 +226,7 @@ func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []acce
 		next = append(next, "  "+paths[st.right].desc)
 		lines = next
 	}
-	return lines, nil
+	return lines
 }
 
 // statsDistinctEstimator is the plan-time (no materialized rows) variant
@@ -289,17 +260,13 @@ func (e *Env) explainInsert(s *sqlast.Insert) ([]string, error) {
 }
 
 // explainMatch renders the access path of a DELETE/UPDATE predicate scan
-// (matchTuples in dml.go).
-func (e *Env) explainMatch(head, table, alias string, where sqlast.Expr) ([]string, error) {
-	schema, err := e.lookupSchema(table)
+// (matchTuples in dml.go) through explainAccess.
+func (e *Env) explainMatch(head string, tr *sqlast.TableRef, where sqlast.Expr) ([]string, error) {
+	schema, err := e.lookupSchema(tr.Table)
 	if err != nil {
 		return nil, err
 	}
-	binding := alias
-	if binding == "" {
-		binding = schema.Name
-	}
-	rows, err := e.Store.Count(schema.Name)
+	p, err := e.explainAccess(tr, 0, where, []fromBinding{{binding: tr.Binding(), schema: schema}})
 	if err != nil {
 		return nil, err
 	}
@@ -307,33 +274,5 @@ func (e *Env) explainMatch(head, table, alias string, where sqlast.Expr) ([]stri
 	if where != nil {
 		lines = append(lines, "  filter "+where.String())
 	}
-	seq := fmt.Sprintf("seq scan %s (rows %d)", schema.Name, rows)
-	if where == nil || e.NoIndex {
-		return append(lines, "  "+seq), nil
-	}
-	infos := []fromBinding{{binding: binding, schema: schema}}
-	probe := e.findIndexProbe(where, 0, infos, nil)
-	if probe == nil {
-		return append(lines, "  "+seq), nil
-	}
-	col := schema.Columns[probe.col].Name
-	switch e.Store.ClassifyProbe(schema.Name, probe.col, probe.vals...) {
-	case storage.ProbeFallback:
-		return append(lines, fmt.Sprintf("  seq scan %s (rows %d; index on %s cannot answer probe exactly, costed as scan)", schema.Name, rows, col)), nil
-	case storage.ProbeIndexed:
-		est := float64(rows)
-		if cs, err := e.Store.ColumnStats(schema.Name, probe.col); err == nil && cs.Distinct > 0 {
-			est = float64(rows) / float64(cs.Distinct) * float64(len(probe.vals))
-			if est > float64(rows) {
-				est = float64(rows)
-			}
-		}
-		what := fmt.Sprintf("%s = %s", col, probe.vals[0])
-		if len(probe.vals) != 1 {
-			what = fmt.Sprintf("%s IN (%d values)", col, len(probe.vals))
-		}
-		return append(lines, fmt.Sprintf("  index probe %s (%s) (est rows %.0f)", schema.Name, what, est)), nil
-	default:
-		return append(lines, "  "+seq), nil
-	}
+	return append(lines, "  "+p.desc), nil
 }

@@ -105,9 +105,9 @@ func TestIndexedScanParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("indexed: %q: %v", q, err)
 			}
-			e.NoIndex = true
+			e.Naive = true
 			scanned, err := e.Query(sel)
-			e.NoIndex = false
+			e.Naive = false
 			if err != nil {
 				t.Fatalf("scan: %q: %v", q, err)
 			}
@@ -142,7 +142,7 @@ func TestIndexedDMLParity(t *testing.T) {
 	}
 	ei := indexEnv(t, 80, 21)
 	es := indexEnv(t, 80, 21)
-	es.NoIndex = true
+	es.Naive = true
 	for _, op := range ops {
 		mustOp(t, ei, op)
 		mustOp(t, es, op)
@@ -157,7 +157,7 @@ func TestIndexedDMLParity(t *testing.T) {
 }
 
 // TestIndexAccessCounters: a sargable query is actually served by the
-// index (not silently falling back), and NoIndex forces the heap scan.
+// index (not silently falling back), and Naive forces the heap scan.
 func TestIndexAccessCounters(t *testing.T) {
 	e := indexEnv(t, 40, 31)
 	_, lk0 := e.Store.(*storage.Store).AccessStats()
@@ -167,14 +167,14 @@ func TestIndexAccessCounters(t *testing.T) {
 		t.Errorf("index lookups %d -> %d, want +1", lk0, lk1)
 	}
 	hs0, _ := e.Store.(*storage.Store).AccessStats()
-	e.NoIndex = true
+	e.Naive = true
 	mustQuery(t, e, `select note from big where id = 3`)
-	e.NoIndex = false
+	e.Naive = false
 	hs1, lk2 := e.Store.(*storage.Store).AccessStats()
 	if lk2 != lk1 {
-		t.Errorf("NoIndex query used the index (%d -> %d)", lk1, lk2)
+		t.Errorf("Naive query used the index (%d -> %d)", lk1, lk2)
 	}
 	if hs1 != hs0+1 {
-		t.Errorf("NoIndex heap scans %d -> %d, want +1", hs0, hs1)
+		t.Errorf("Naive heap scans %d -> %d, want +1", hs0, hs1)
 	}
 }

@@ -37,9 +37,9 @@ func TestNaNIndexDivergenceRepro(t *testing.T) {
 	}
 
 	q := "select f from t where f = 5.0"
-	e.NoIndex = true
+	e.Naive = true
 	scan := query(q)
-	e.NoIndex = false
+	e.Naive = false
 	if err := e.Store.(*storage.Store).CreateIndex("ixf", "t", "f"); err != nil {
 		t.Fatalf("create index: %v", err)
 	}

@@ -6,19 +6,26 @@ package exec
 // optimizer just like user-submitted queries" (Section 6). This file is
 // that optimizer: multi-relation FROM lists whose WHERE carries equi-join
 // conjuncts are executed through a tree of iterator operators — scan at
-// the leaves, hash or sort-merge joins above — with the join order chosen
-// greedily from per-table cardinality and per-column distinct-value
-// statistics maintained incrementally by internal/storage.
+// the leaves, hash joins above — with the join order chosen greedily from
+// per-table cardinality and per-column distinct-value statistics
+// maintained incrementally by internal/storage. planJoins is the one join
+// decision: the executor (forEachCombo) and EXPLAIN (explainJoins) both
+// call it, and a nil plan means FROM-order nested loops.
 //
-// Semantics preservation follows the same contract as the access-path and
-// two-relation hash-join fast paths: a combination may be skipped only
-// when a null-rejecting top-level AND equi-conjunct (`a.x = b.y`) rules
-// it out — under three-valued logic a False or Unknown conjunct makes the
-// whole AND non-True — and the full WHERE is still evaluated on every
-// surviving combination. Surviving combinations are re-sorted into the
-// nested-loop odometer's emission order (lexicographic on the position
-// vector), so result order, select-observation, and residual-predicate
-// behavior are indistinguishable from the naive driver.
+// Semantics preservation: a combination may be skipped only when a
+// null-rejecting top-level AND equi-conjunct (`a.x = b.y`) rules it out —
+// under three-valued logic a False or Unknown conjunct makes the whole AND
+// non-True — and the full WHERE is still evaluated on every surviving
+// combination. A conjunct is only used when its two declared column kinds
+// are comparable (the same kind, or both numeric), so skipping never hides
+// the comparison error the nested loop would report. Surviving
+// combinations are re-sorted into the nested-loop odometer's emission
+// order (lexicographic on the position vector), so result order,
+// select-observation, and residual-predicate behavior are
+// indistinguishable from the naive driver. Like the index access path
+// (access.go), WHERE is evaluated only on surviving combinations, so a
+// residual conjunct that would error on a skipped combination does not
+// error here.
 
 import (
 	"sort"
@@ -43,31 +50,21 @@ type PlanCounters struct {
 // the cap stay residual (still enforced by the full WHERE).
 const maxJoinKeyCols = 4
 
-// defaultJoinBuildBudget is the hash build-side row cap when
-// Env.JoinBuildBudget is 0.
-const defaultJoinBuildBudget = 1 << 20
-
-func (e *Env) joinBuildBudget() float64 {
-	if e.JoinBuildBudget > 0 {
-		return float64(e.JoinBuildBudget)
-	}
-	return float64(defaultJoinBuildBudget)
-}
-
 // equiCond is one top-level AND conjunct `a.x = b.y` whose two column
 // references resolve uniquely to two different FROM relations.
 type equiCond struct {
 	lrel, lcol int
 	rrel, rcol int
 	// exact selects the exact-integer keyspace: both columns are declared
-	// INTEGER, so int-int equality needs no float image (see joinKeysExact).
+	// INTEGER, so int-int equality needs no float image (see condExact).
 	exact bool
 }
 
 // collectEquiConds walks the top-level AND tree of where and returns every
-// equi-join conjunct between two distinct relations of rels. A reference
-// that is ambiguous at this scope level, or does not resolve here at all
-// (it may be a correlated outer reference), never yields a conjunct.
+// equi-join conjunct between two distinct relations of rels whose column
+// kinds are comparable. A reference that is ambiguous at this scope level,
+// or does not resolve here at all (it may be a correlated outer
+// reference), never yields a conjunct.
 func (e *Env) collectEquiConds(where sqlast.Expr, rels []*relation) []equiCond {
 	var out []equiCond
 	var walk func(x sqlast.Expr)
@@ -94,10 +91,11 @@ func (e *Env) collectEquiConds(where sqlast.Expr, rels []*relation) []equiCond {
 		if lr < 0 || rr < 0 || lr == rr {
 			return
 		}
-		out = append(out, equiCond{
-			lrel: lr, lcol: lc, rrel: rr, rcol: rc,
-			exact: e.condExact(rels, lr, lc, rr, rc),
-		})
+		exact, ok := e.condExact(rels, lr, lc, rr, rc)
+		if !ok {
+			return
+		}
+		out = append(out, equiCond{lrel: lr, lcol: lc, rrel: rr, rcol: rc, exact: exact})
 	}
 	walk(where)
 	return out
@@ -124,10 +122,37 @@ func resolveInRels(ref *sqlast.ColumnRef, rels []*relation) (col, rel int) {
 	return col, rel
 }
 
-func (e *Env) condExact(rels []*relation, lr, lc, rr, rc int) bool {
+// condExact classifies a candidate conjunct by its columns' declared
+// kinds. ok is false unless both kinds are known and comparable — the same
+// kind, or both numeric — since comparing any other pair is an evaluation
+// error that the nested loop reports and a hash join would skip silently.
+// exact selects the keyspace: when both columns are declared INTEGER every
+// stored value is an int64 (coerceRow enforces column kind homogeneity)
+// and int-int comparison is exact, so distinct int64s above 2^53 keep
+// distinct buckets. Any other combination goes through the float-image
+// keyspace, matching value.Compare's cross-kind equality (which converts
+// mixed int/float operands to float64).
+func (e *Env) condExact(rels []*relation, lr, lc, rr, rc int) (exact, ok bool) {
 	k0, ok0 := e.relColumnKind(rels[lr], lc)
 	k1, ok1 := e.relColumnKind(rels[rr], rc)
-	return ok0 && ok1 && k0 == value.KindInt && k1 == value.KindInt
+	numeric := func(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
+	if !ok0 || !ok1 || (k0 != k1 && !(numeric(k0) && numeric(k1))) {
+		return false, false
+	}
+	return k0 == value.KindInt && k1 == value.KindInt, true
+}
+
+// relColumnKind reports the declared kind of a relation's column, when
+// the relation is backed by a catalog schema (base or transition table).
+func (e *Env) relColumnKind(rel *relation, col int) (value.Kind, bool) {
+	if rel.table == "" {
+		return value.KindNull, false
+	}
+	schema, err := e.lookupSchema(rel.table)
+	if err != nil || col < 0 || col >= len(schema.Columns) {
+		return value.KindNull, false
+	}
+	return schema.Columns[col].Type, true
 }
 
 // joinStep joins relation right into the set built so far.
@@ -136,9 +161,6 @@ type joinStep struct {
 	// conds are normalized so lrel is already joined and rrel == right.
 	// Empty conds means a cross-product step (no connecting conjunct).
 	conds []equiCond
-	// merge selects a sort-merge join (build side over budget) over the
-	// default hash join.
-	merge bool
 	// est is the estimated number of output combinations after this step.
 	est float64
 }
@@ -149,66 +171,26 @@ type joinPlan struct {
 	steps []joinStep
 }
 
-// planJoins builds the execution-time join plan for the block, or nil when
-// planning does not apply (no WHERE, or no equi-join conjunct).
-func (e *Env) planJoins(sel *sqlast.Select, rels []*relation) *joinPlan {
-	if sel.Where == nil {
+// planJoins is the join decision for a multi-relation block, shared by
+// the executor (materialized row counts, distinctEstimator) and EXPLAIN
+// (estimated row counts, statsDistinctEstimator). It returns nil — run
+// FROM-order nested loops — under Naive, for a block with no WHERE, or
+// when WHERE has no usable equi-join conjunct.
+//
+// Otherwise it picks a left-deep order greedily: start from the smallest
+// relation, then repeatedly join the connected relation with the lowest
+// estimated output |S ⋈ R| = est(S)·|R|·∏ 1/max(d_S, d_R) over the
+// connecting equi-conjuncts; with no connected relation left, take the
+// smallest remaining as a cross-product step. Ties break to the lowest
+// FROM position, so the order is deterministic.
+func (e *Env) planJoins(where sqlast.Expr, rels []*relation, rows []float64, dist func(rel, col int) float64) *joinPlan {
+	if e.Naive || where == nil {
 		return nil
 	}
-	conds := e.collectEquiConds(sel.Where, rels)
+	conds := e.collectEquiConds(where, rels)
 	if len(conds) == 0 {
 		return nil
 	}
-	rows := make([]float64, len(rels))
-	for i, r := range rels {
-		rows[i] = float64(len(r.rows))
-	}
-	dist := e.distinctEstimator(rels, conds)
-	start, steps := orderJoins(rows, dist, conds, e.joinBuildBudget())
-	return &joinPlan{start: start, steps: steps}
-}
-
-// distinctEstimator returns a distinct-value estimator for the join
-// columns: base tables use the storage layer's incrementally-maintained
-// column statistics; transition tables (rule-local data with no stored
-// stats) are counted exactly over their materialized rows.
-func (e *Env) distinctEstimator(rels []*relation, conds []equiCond) func(rel, col int) float64 {
-	type rc struct{ rel, col int }
-	cache := make(map[rc]float64)
-	lookup := func(rel, col int) float64 {
-		r := rels[rel]
-		if !r.trans && r.table != "" {
-			if cs, err := e.Store.ColumnStats(r.table, col); err == nil {
-				return float64(cs.Distinct)
-			}
-		}
-		seen := make(map[value.Key]bool)
-		for _, tr := range r.rows {
-			if k, ok := value.KeyNumeric(tr.Values[col]); ok {
-				seen[k] = true
-			}
-		}
-		return float64(len(seen))
-	}
-	return func(rel, col int) float64 {
-		key := rc{rel, col}
-		if d, ok := cache[key]; ok {
-			return d
-		}
-		d := lookup(rel, col)
-		cache[key] = d
-		return d
-	}
-}
-
-// orderJoins picks a left-deep join order greedily: start from the
-// smallest relation, then repeatedly join the connected relation with the
-// lowest estimated output |S ⋈ R| = est(S)·|R|·∏ 1/max(d_S, d_R) over the
-// connecting equi-conjuncts; with no connected relation left, take the
-// smallest remaining as a cross-product step. Ties break to the lowest
-// FROM position, so the order is deterministic. Shared by the executor
-// (materialized row counts) and EXPLAIN (estimated row counts).
-func orderJoins(rows []float64, dist func(rel, col int) float64, conds []equiCond, budget float64) (int, []joinStep) {
 	n := len(rows)
 	start := 0
 	for i := 1; i < n; i++ {
@@ -252,16 +234,44 @@ func orderJoins(rows []float64, dist func(rel, col int) float64, conds []equiCon
 			}
 			bestEst = est * rows[best]
 		}
-		steps = append(steps, joinStep{
-			right: best,
-			conds: bestConds,
-			merge: len(bestConds) > 0 && rows[best] > budget,
-			est:   bestEst,
-		})
+		steps = append(steps, joinStep{right: best, conds: bestConds, est: bestEst})
 		joined[best] = true
 		est = bestEst
 	}
-	return start, steps
+	return &joinPlan{start: start, steps: steps}
+}
+
+// distinctEstimator returns a distinct-value estimator for the join
+// columns: base tables use the storage layer's incrementally-maintained
+// column statistics; transition tables (rule-local data with no stored
+// stats) are counted exactly over their materialized rows.
+func (e *Env) distinctEstimator(rels []*relation) func(rel, col int) float64 {
+	type rc struct{ rel, col int }
+	cache := make(map[rc]float64)
+	lookup := func(rel, col int) float64 {
+		r := rels[rel]
+		if !r.trans && r.table != "" {
+			if cs, err := e.Store.ColumnStats(r.table, col); err == nil {
+				return float64(cs.Distinct)
+			}
+		}
+		seen := make(map[value.Key]bool)
+		for _, tr := range r.rows {
+			if k, ok := value.KeyNumeric(tr.Values[col]); ok {
+				seen[k] = true
+			}
+		}
+		return float64(len(seen))
+	}
+	return func(rel, col int) float64 {
+		key := rc{rel, col}
+		if d, ok := cache[key]; ok {
+			return d
+		}
+		d := lookup(rel, col)
+		cache[key] = d
+		return d
+	}
 }
 
 // connectingConds returns the conjuncts linking relation r to the joined
@@ -302,19 +312,10 @@ type comboOp interface {
 	close()
 }
 
-// joinKey is a composite hash/merge key of up to maxJoinKeyCols columns.
+// joinKey is a composite hash key of up to maxJoinKeyCols columns.
 type joinKey struct {
 	n int8
 	k [maxJoinKeyCols]value.Key
-}
-
-func joinKeyLess(a, b joinKey) bool {
-	for i := 0; i < int(a.n); i++ {
-		if a.k[i] != b.k[i] {
-			return value.KeyLess(a.k[i], b.k[i])
-		}
-	}
-	return false
 }
 
 func condKey(c equiCond, v value.Value) (value.Key, bool) {
@@ -440,99 +441,6 @@ func (o *hashJoinOp) next() ([]int32, bool, error) {
 	}
 }
 
-// mergeJoinOp is the sort-merge alternative chosen when the hash build
-// side would exceed the join-build budget: both sides are sorted on the
-// composite key (value.KeyLess order) and merged group-wise. Output order
-// is arbitrary here; restoreOrderOp re-establishes the odometer order.
-type mergeJoinOp struct {
-	input comboOp
-	rels  []*relation
-	step  joinStep
-
-	out [][]int32
-	i   int
-}
-
-type keyedCombo struct {
-	key   joinKey
-	combo []int32
-}
-
-type keyedRow struct {
-	key joinKey
-	idx int32
-}
-
-func (o *mergeJoinOp) open() error {
-	if err := o.input.open(); err != nil {
-		return err
-	}
-	var left []keyedCombo
-	for {
-		c, ok, err := o.input.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if k, kok := leftKey(o.step, o.rels, c); kok {
-			left = append(left, keyedCombo{key: k, combo: c})
-		}
-	}
-	right := make([]keyedRow, 0, len(o.rels[o.step.right].rows))
-	for i, tr := range o.rels[o.step.right].rows {
-		if k, ok := rightKey(o.step, tr.Values); ok {
-			right = append(right, keyedRow{key: k, idx: int32(i)})
-		}
-	}
-	sortKeyed(left, right)
-	li, ri := 0, 0
-	for li < len(left) && ri < len(right) {
-		switch {
-		case joinKeyLess(left[li].key, right[ri].key):
-			li++
-		case joinKeyLess(right[ri].key, left[li].key):
-			ri++
-		default:
-			re := ri
-			for re < len(right) && right[re].key == right[ri].key {
-				re++
-			}
-			le := li
-			for le < len(left) && left[le].key == left[li].key {
-				le++
-			}
-			for ; li < le; li++ {
-				for j := ri; j < re; j++ {
-					c := make([]int32, len(left[li].combo))
-					copy(c, left[li].combo)
-					c[o.step.right] = right[j].idx
-					o.out = append(o.out, c)
-				}
-			}
-			ri = re
-		}
-	}
-	return nil
-}
-
-func (o *mergeJoinOp) close() { o.input.close() }
-
-func (o *mergeJoinOp) next() ([]int32, bool, error) {
-	if o.i >= len(o.out) {
-		return nil, false, nil
-	}
-	c := o.out[o.i]
-	o.i++
-	return c, true, nil
-}
-
-func sortKeyed(left []keyedCombo, right []keyedRow) {
-	sort.SliceStable(left, func(i, j int) bool { return joinKeyLess(left[i].key, left[j].key) })
-	sort.SliceStable(right, func(i, j int) bool { return joinKeyLess(right[i].key, right[j].key) })
-}
-
 func sortCombos(out [][]int32) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -596,11 +504,7 @@ func (e *Env) forEachComboPlanned(sel *sqlast.Select, sc *scope, rels []*relatio
 	}
 	var op comboOp = &scanOp{n: len(rels), rel: plan.start, rows: len(rels[plan.start].rows)}
 	for _, st := range plan.steps {
-		if st.merge {
-			op = &mergeJoinOp{input: op, rels: rels, step: st}
-		} else {
-			op = &hashJoinOp{input: op, rels: rels, step: st}
-		}
+		op = &hashJoinOp{input: op, rels: rels, step: st}
 	}
 	root := &restoreOrderOp{input: op}
 	if err := root.open(); err != nil {

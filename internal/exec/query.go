@@ -201,8 +201,10 @@ func planColumns(sel *sqlast.Select, rels []*relation) ([]outCol, error) {
 	return cols, nil
 }
 
-// forEachCombo drives the nested-loops join: it sets sc.vars to every
-// combination of rows from rels that satisfies WHERE and invokes fn.
+// forEachCombo sets sc.vars to every combination of rows from rels that
+// satisfies WHERE and invokes fn, in nested-loop (odometer) order. A
+// multi-relation block runs the planned join when planJoins returns a
+// plan, and the odometer below otherwise.
 func (e *Env) forEachCombo(sel *sqlast.Select, sc *scope, rels []*relation, fn func() error) error {
 	n := len(rels)
 	if n == 0 {
@@ -220,20 +222,13 @@ func (e *Env) forEachCombo(sel *sqlast.Select, sc *scope, rels []*relation, fn f
 			return nil // empty cross product
 		}
 	}
-	// Cost-based planned join execution for multi-relation blocks with
-	// equi-join conjuncts (see plan.go). NoHashJoin also disables it: the
-	// planner's operators are hash/merge join machinery, and the ablation
-	// configurations want true nested loops.
-	if !e.NoPlanner && !e.NoHashJoin && sel.Where != nil {
-		if plan := e.planJoins(sel, rels); plan != nil {
-			return e.forEachComboPlanned(sel, sc, rels, plan, fn)
+	if n > 1 {
+		rows := make([]float64, n)
+		for i, r := range rels {
+			rows[i] = float64(len(r.rows))
 		}
-	}
-	// Legacy hash equi-join fast path for two-relation joins (see
-	// hashjoin.go); reached only with the planner disabled.
-	if n == 2 && !e.NoHashJoin && sel.Where != nil {
-		if c0, c1, ok := equiJoinConjunct(sel.Where, rels[0], rels[1]); ok {
-			return e.forEachComboHash(sel, sc, rels, c0, c1, fn)
+		if plan := e.planJoins(sel.Where, rels, rows, e.distinctEstimator(rels)); plan != nil {
+			return e.forEachComboPlanned(sel, sc, rels, plan, fn)
 		}
 	}
 	idx := make([]int, n)

@@ -443,9 +443,10 @@ func (w *Workload) validateCond(c *Cond, r *Rule) error {
 
 // joinComparable reports whether two column kinds can be equi-joined
 // without an evaluation error: both numeric, or the same kind. The
-// restriction keeps join conditions error-free, so a hash or merge join
-// that never compares non-matching rows pairwise cannot diverge from a
-// nested loop that compares every pair.
+// restriction keeps join conditions error-free, so an access path that
+// evaluates WHERE only on candidate rows (an index probe, access.go)
+// cannot diverge from a nested loop that compares every pair. The planned
+// join needs no such help: it never uses an incomparable conjunct.
 func joinComparable(a, b string) bool {
 	num := func(k string) bool { return k == "int" || k == "float" }
 	return a == b || (num(a) && num(b))

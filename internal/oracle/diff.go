@@ -57,29 +57,26 @@ func diverge(check string, txn int, format string, args ...interface{}) *Diverge
 type Options struct {
 	Salt uint64 // selection tie-break salt; runs are deterministic per (workload, salt)
 
-	// SkipMetamorphic drops the end-of-workload checks (index ablation,
-	// dump→reload, WAL crash-replay, selection-order permutation), leaving
-	// only the engine-vs-oracle lockstep comparison. The shrinker uses it:
-	// a minimal repro for a lockstep divergence should not be perturbed by
-	// a metamorphic check failing first.
+	// SkipMetamorphic drops the end-of-workload checks (dump→reload, WAL
+	// crash-replay, selection-order permutation), leaving only the
+	// lockstep comparison of the engine, its Naive twin and the oracle.
+	// The shrinker uses it: a minimal repro for a lockstep divergence
+	// should not be perturbed by a metamorphic check failing first.
 	SkipMetamorphic bool
 }
 
-// RunDiff executes the workload through the real engine (cost-based
-// planner on), a planner-off engine, and the reference oracle, all under
-// the same rule-selection order, and compares the three after every
-// transaction: outcome (committed / rolled back by which rule / error,
-// runaway or not), firing sequence, and exact database state, handles
-// included. The planner-off twin runs even under SkipMetamorphic — plan
-// choice must be a pure optimization, so it is part of the lockstep core,
-// not a metamorphic extra.
+// RunDiff executes the workload through the real engine (query
+// optimizations on), a Naive engine (heap scans, FROM-order nested loops),
+// and the reference oracle, all under the same rule-selection order, and
+// compares the three after every transaction: outcome (committed / rolled
+// back by which rule / error, runaway or not), firing sequence, and exact
+// database state, handles included. The Naive twin runs even under
+// SkipMetamorphic — access paths and join plans must be pure
+// optimizations, so it is part of the lockstep core, not a metamorphic
+// extra.
 //
 // Unless SkipMetamorphic is set it then runs the metamorphic checks:
 //
-//   - index ablation: an engine with NoIndex+NoHashJoin+NoPlanner (every
-//     access-path and join fast path off) must track the primary engine
-//     transaction by transaction (access paths must not change
-//     semantics);
 //   - dump→reload: loading the primary engine's dump into a fresh engine
 //     must reproduce every table's contents up to handle renaming;
 //   - WAL crash-replay: recovering the log (MemFS, fsync-always, unsynced
@@ -110,21 +107,12 @@ func RunDiff(w *gen.Workload, opts Options) *Divergence {
 		return diverge("setup", -1, "engine rejected setup: %v\n%s", err, w.SetupSQL())
 	}
 
-	// Planner-off twin: identical configuration except the cost-based
-	// planner is disabled, so every query runs the naive FROM-order nested
-	// loop (with the legacy two-way hash fast path).
-	nop := engine.New(engine.Config{MaxRuleTransitions: w.Cap, SelectHook: choose, NoPlanner: true})
-	if _, err := nop.Exec(w.SetupSQL()); err != nil {
-		return diverge("setup", -1, "noplanner engine rejected setup: %v", err)
-	}
-
-	// Ablation engine: all access-path fast paths off.
-	var slow *engine.Engine
-	if !opts.SkipMetamorphic {
-		slow = engine.New(engine.Config{MaxRuleTransitions: w.Cap, SelectHook: choose, NoIndex: true, NoHashJoin: true, NoPlanner: true})
-		if _, err := slow.Exec(w.SetupSQL()); err != nil {
-			return diverge("setup", -1, "ablation engine rejected setup: %v", err)
-		}
+	// Naive twin: identical configuration except every query optimization
+	// is off, so every evaluation scans heaps and runs FROM-order nested
+	// loops.
+	naive := engine.New(engine.Config{MaxRuleTransitions: w.Cap, SelectHook: choose, Naive: true})
+	if _, err := naive.Exec(w.SetupSQL()); err != nil {
+		return diverge("setup", -1, "naive engine rejected setup: %v", err)
 	}
 
 	odb := New(w, choose)
@@ -142,29 +130,16 @@ func RunDiff(w *gen.Workload, opts Options) *Divergence {
 		if msg := statesDiffer(engState, odb.State()); msg != "" {
 			return diverge("lockstep", i, "%s", msg)
 		}
-		nopOut := engineOutcome(nop.Exec(w.TxnSQL(i)))
-		if msg := outcomesDiffer(nopOut, oraOut); msg != "" {
-			return diverge("noplanner", i, "%s", msg)
+		naiveOut := engineOutcome(naive.Exec(w.TxnSQL(i)))
+		if msg := outcomesDiffer(naiveOut, oraOut); msg != "" {
+			return diverge("naive", i, "%s", msg)
 		}
-		nopState, err := engineState(nop, w)
+		naiveState, err := engineState(naive, w)
 		if err != nil {
-			return diverge("noplanner", i, "engine state: %v", err)
+			return diverge("naive", i, "engine state: %v", err)
 		}
-		if msg := statesDiffer(engState, nopState); msg != "" {
-			return diverge("noplanner", i, "%s", msg)
-		}
-		if slow != nil {
-			slowOut := engineOutcome(slow.Exec(w.TxnSQL(i)))
-			if msg := outcomesDiffer(slowOut, oraOut); msg != "" {
-				return diverge("noindex", i, "%s", msg)
-			}
-			slowState, err := engineState(slow, w)
-			if err != nil {
-				return diverge("noindex", i, "engine state: %v", err)
-			}
-			if msg := statesDiffer(engState, slowState); msg != "" {
-				return diverge("noindex", i, "%s", msg)
-			}
+		if msg := statesDiffer(engState, naiveState); msg != "" {
+			return diverge("naive", i, "%s", msg)
 		}
 	}
 	if opts.SkipMetamorphic {
@@ -261,7 +236,7 @@ func Minimize(w *gen.Workload, opts Options, budget int) *gen.Workload {
 	if orig == nil {
 		return w
 	}
-	lockstepOnly := orig.Check == "lockstep" || orig.Check == "noplanner" || orig.Check == "setup"
+	lockstepOnly := orig.Check == "lockstep" || orig.Check == "naive" || orig.Check == "setup"
 	shrinkOpts := opts
 	shrinkOpts.SkipMetamorphic = lockstepOnly
 	return gen.Shrink(w, func(c *gen.Workload) bool {

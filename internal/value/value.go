@@ -501,21 +501,6 @@ func floatKey(f float64) Key {
 	return Key{kind: 'f', num: int64(math.Float64bits(f))}
 }
 
-// KeyLess is an arbitrary total order over Keys (kind, then numeric
-// payload, then string payload). It is not SQL value order; it exists so
-// sort-based operators (merge join) can order rows of one keyspace
-// consistently on both sides. Keys being compared must come from the same
-// keyspace, like map keys.
-func KeyLess(a, b Key) bool {
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	if a.num != b.num {
-		return a.num < b.num
-	}
-	return a.str < b.str
-}
-
 // Like implements the SQL LIKE operator with % (any run) and _ (any single
 // character) wildcards. NULL operands yield Unknown.
 func Like(s, pattern Value) Tribool {
