@@ -351,34 +351,10 @@ func (c *Client) Stats() (*Stats, error) {
 		return nil, err
 	}
 	return &Stats{
-		Engine: sopr.Stats{
-			Committed:           resp.Engine.Committed,
-			RolledBack:          resp.Engine.RolledBack,
-			ExternalTransitions: resp.Engine.ExternalTransitions,
-			RuleConsiderations:  resp.Engine.RuleConsiderations,
-			RuleFirings:         resp.Engine.RuleFirings,
-			IndexLookups:        resp.Engine.IndexLookups,
-			HeapScans:           resp.Engine.HeapScans,
-			WALAppends:          resp.Engine.WALAppends,
-			WALBytes:            resp.Engine.WALBytes,
-			RecoveredRecords:    resp.Engine.RecoveredRecords,
-			Checkpoints:         resp.Engine.Checkpoints,
-			GroupCommits:        resp.Engine.GroupCommits,
-			GroupedTxns:         resp.Engine.GroupedTxns,
-			TxnsPerSync:         txnsPerSync(resp.Engine.GroupedTxns, resp.Engine.GroupCommits),
-			PlannedQueries:      resp.Engine.PlannedQueries,
-			PlanProbeFallbacks:  resp.Engine.PlanProbeFallbacks,
-		},
+		Engine: sopr.Stats(resp.Engine),
 		Server: ServerStats(resp.Server),
 		Repl:   replStats(resp.Repl),
 	}, nil
-}
-
-func txnsPerSync(grouped, commits int64) float64 {
-	if commits == 0 {
-		return 0
-	}
-	return float64(grouped) / float64(commits)
 }
 
 func replStats(rs *wire.ReplStats) *ReplStats {

@@ -719,7 +719,7 @@ func b13b() {
 			base = txnSec
 		}
 		fmt.Printf("%-12d %12d %12.0f %12.1f %11.2f %7.1fx\n",
-			nw, total, txnSec, perTxn, st.TxnsPerSync, txnSec/base)
+			nw, total, txnSec, perTxn, st.TxnsPerSync(), txnSec/base)
 	}
 	fmt.Println("\n(committers that overlap share the leader's fsync; txns/sync is the")
 	fmt.Println(" amortization factor — 1.00 means every commit paid its own fsync)")

@@ -394,7 +394,7 @@ func printEngineStats(s sopr.Stats) {
 		s.WALAppends, s.WALBytes, s.RecoveredRecords, s.Checkpoints)
 	if s.GroupCommits > 0 {
 		fmt.Printf("wal: group_commits=%d grouped_txns=%d txns_per_sync=%.2f\n",
-			s.GroupCommits, s.GroupedTxns, s.TxnsPerSync)
+			s.GroupCommits, s.GroupedTxns, s.TxnsPerSync())
 	}
 	if s.PlannedQueries > 0 || s.PlanProbeFallbacks > 0 {
 		fmt.Printf("planner: planned_queries=%d probe_fallbacks=%d\n",

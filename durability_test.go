@@ -167,6 +167,56 @@ func TestRolledBackTransactionsNotLogged(t *testing.T) {
 	}
 }
 
+// TestRuleScopeChangeSurvivesReopen: a scope change is the ALTER RULE ...
+// SCOPE definition statement, logged like any other rule DDL, so a
+// reopened database dumps identically — with the change in the log tail
+// and again inside a checkpoint image.
+func TestRuleScopeChangeSurvivesReopen(t *testing.T) {
+	mem := wal.NewMemFS()
+	db, err := OpenDurable("data", withFS(mem))
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	db.MustExec(`create table t (a int);
+		create rule r scope since considered when inserted into t then delete from t where a < 0 end;
+		create rule s when inserted into t then update t set a = 0 where a > 100 end`)
+	if err := db.SetRuleScope("r", SinceTriggered); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`alter rule s scope since considered`)
+	want := mustDump(t, db)
+	if !strings.Contains(want, "CREATE RULE r SCOPE SINCE TRIGGERED") || !strings.Contains(want, "CREATE RULE s SCOPE SINCE CONSIDERED") {
+		t.Fatalf("dump lacks the scope changes:\n%s", want)
+	}
+	reopen := func(db *DB) *DB {
+		t.Helper()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := OpenDurable("data", withFS(mem))
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		return db2
+	}
+	db = reopen(db)
+	if got := mustDump(t, db); got != want {
+		t.Fatalf("scope change lost on reopen:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+	if err := db.SetRuleScope("r", SinceAction); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want = mustDump(t, db)
+	db = reopen(db)
+	defer db.Close()
+	if got := mustDump(t, db); got != want {
+		t.Fatalf("scope change lost through a checkpoint:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
 func TestOpenDurableRefusesCorruptLog(t *testing.T) {
 	mem := wal.NewMemFS()
 	db, err := OpenDurable("data", withFS(mem), withSegmentSize(64))

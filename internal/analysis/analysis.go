@@ -170,15 +170,14 @@ func actionWrites(a sqlast.RuleAction) []write {
 // ruleReads collects the base tables a rule's condition and action read.
 func ruleReads(d RuleDef) map[string]bool {
 	tables := make(map[string]bool)
-	collect := func(tr *sqlast.TableRef) error {
+	collect := func(tr *sqlast.TableRef) {
 		if tr.Trans == sqlast.TransNone {
 			tables[tr.Table] = true
 		}
-		return nil
 	}
-	walkExprRefs(d.Condition, collect)
+	sqlast.ExprTableRefs(d.Condition, collect)
 	for _, op := range d.Action.Block {
-		walkStmtRefs(op, collect)
+		sqlast.StmtTableRefs(op, collect)
 		// The targets of action DML are also "read" (their predicates
 		// filter the table's rows).
 		switch s := op.(type) {
@@ -313,93 +312,4 @@ func stronglyConnected(nodes []string, adj map[string][]string) [][]string {
 		}
 	}
 	return sccs
-}
-
-// walkExprRefs / walkStmtRefs visit table references in expressions and
-// statements (duplicated from rules to keep package dependencies acyclic —
-// analysis depends only on sqlast).
-func walkExprRefs(e sqlast.Expr, fn func(*sqlast.TableRef) error) {
-	switch x := e.(type) {
-	case *sqlast.Unary:
-		walkExprRefs(x.X, fn)
-	case *sqlast.Binary:
-		walkExprRefs(x.L, fn)
-		walkExprRefs(x.R, fn)
-	case *sqlast.IsNull:
-		walkExprRefs(x.X, fn)
-	case *sqlast.Between:
-		walkExprRefs(x.X, fn)
-		walkExprRefs(x.Lo, fn)
-		walkExprRefs(x.Hi, fn)
-	case *sqlast.Like:
-		walkExprRefs(x.X, fn)
-		walkExprRefs(x.Pattern, fn)
-	case *sqlast.InList:
-		walkExprRefs(x.X, fn)
-		for _, el := range x.List {
-			walkExprRefs(el, fn)
-		}
-	case *sqlast.InSelect:
-		walkExprRefs(x.X, fn)
-		walkSelectRefs(x.Sub, fn)
-	case *sqlast.Exists:
-		walkSelectRefs(x.Sub, fn)
-	case *sqlast.ScalarSub:
-		walkSelectRefs(x.Sub, fn)
-	case *sqlast.SubCompare:
-		walkExprRefs(x.X, fn)
-		walkSelectRefs(x.Sub, fn)
-	case *sqlast.FuncCall:
-		for _, a := range x.Args {
-			walkExprRefs(a, fn)
-		}
-	case *sqlast.Case:
-		walkExprRefs(x.Operand, fn)
-		for _, w := range x.Whens {
-			walkExprRefs(w.Cond, fn)
-			walkExprRefs(w.Result, fn)
-		}
-		walkExprRefs(x.Else, fn)
-	}
-}
-
-func walkSelectRefs(sel *sqlast.Select, fn func(*sqlast.TableRef) error) {
-	if sel == nil {
-		return
-	}
-	for _, tr := range sel.From {
-		fn(tr) //nolint:errcheck
-	}
-	for _, it := range sel.Items {
-		walkExprRefs(it.Expr, fn)
-	}
-	walkExprRefs(sel.Where, fn)
-	for _, g := range sel.GroupBy {
-		walkExprRefs(g, fn)
-	}
-	walkExprRefs(sel.Having, fn)
-	for _, o := range sel.OrderBy {
-		walkExprRefs(o.Expr, fn)
-	}
-}
-
-func walkStmtRefs(st sqlast.Statement, fn func(*sqlast.TableRef) error) {
-	switch s := st.(type) {
-	case *sqlast.Insert:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				walkExprRefs(e, fn)
-			}
-		}
-		walkSelectRefs(s.Query, fn)
-	case *sqlast.Delete:
-		walkExprRefs(s.Where, fn)
-	case *sqlast.Update:
-		for _, a := range s.Set {
-			walkExprRefs(a.Expr, fn)
-		}
-		walkExprRefs(s.Where, fn)
-	case *sqlast.Select:
-		walkSelectRefs(s, fn)
-	}
 }

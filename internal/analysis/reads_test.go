@@ -6,7 +6,7 @@ import (
 
 // TestReadsThroughEveryExprForm — rules whose conditions bury a base-table
 // read inside each expression construct must be seen as readers of that
-// table (driving walkExprRefs through every branch).
+// table (driving sqlast.ExprTableRefs through every branch).
 func TestReadsThroughEveryExprForm(t *testing.T) {
 	conditions := []string{
 		`not exists (select * from shared)`,

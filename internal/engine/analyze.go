@@ -4,19 +4,20 @@ import (
 	"sopr/internal/analysis"
 )
 
-// Analyze runs the static rule analysis of Section 6 over the currently
-// defined rules, taking declared priorities into account for
-// ordering-conflict warnings.
+// Analyze runs the static rule analysis of Section 6 over the published
+// rule set, taking declared priorities into account for ordering-conflict
+// warnings.
 func (e *Engine) Analyze() *analysis.Report {
-	defs := make([]analysis.RuleDef, 0, len(e.defOrder))
-	for _, name := range e.defOrder {
-		r := e.ruleSet[name]
-		defs = append(defs, analysis.RuleDef{
+	set := e.snap.Load().rules
+	defs := make([]analysis.RuleDef, set.Len())
+	for i := range defs {
+		r := set.Rule(i)
+		defs[i] = analysis.RuleDef{
 			Name:      r.Name,
 			Preds:     r.Preds,
 			Condition: r.Condition,
 			Action:    r.Action,
-		})
+		}
 	}
-	return analysis.Analyze(defs, e.selector.Higher)
+	return analysis.Analyze(defs, set.Higher)
 }

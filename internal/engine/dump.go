@@ -57,13 +57,12 @@ func (e *Engine) Dump(w io.Writer) error {
 		}
 	}
 	// Indexes after the data (a reload bulk-builds each index once) and
-	// before the rules. The rule script was rendered at publish time (rule
-	// structures are writer-private), so it is consistent with the data.
+	// before the rules, which are rendered here from the snapshot's
+	// immutable rule set.
 	if err := dumpIndexes(w, cat); err != nil {
 		return err
 	}
-	_, err := io.WriteString(w, sn.rules)
-	return err
+	return dumpRules(w, sn.rules)
 }
 
 // dumpTables writes the CREATE TABLE statements for the given catalog.
@@ -96,34 +95,30 @@ func dumpIndexes(w io.Writer, cat *catalog.Catalog) error {
 	return nil
 }
 
-// dumpRules writes the rule definitions, priorities and deactivations.
-func (e *Engine) dumpRules(w io.Writer) error {
-	for _, name := range e.defOrder {
-		r := e.ruleSet[name]
+// dumpRules writes a rule set's definitions, priorities and deactivations.
+// Shared by Dump (the snapshot's set) and the checkpoint writer.
+func dumpRules(w io.Writer, set *rules.Set) error {
+	for i := 0; i < set.Len(); i++ {
+		r := set.Rule(i)
 		cr := &sqlast.CreateRule{
 			Name:      r.Name,
+			Scope:     sqlast.RuleScope(r.Scope),
 			Preds:     r.Preds,
 			Condition: r.Condition,
 			Action:    r.Action,
-		}
-		switch r.Scope {
-		case rules.ScopeSinceConsidered:
-			cr.Scope = sqlast.ScopeSinceConsidered
-		case rules.ScopeSinceTriggered:
-			cr.Scope = sqlast.ScopeSinceTriggered
 		}
 		if _, err := fmt.Fprintf(w, "%s;\n", cr.String()); err != nil {
 			return err
 		}
 	}
-	for _, edge := range e.selector.Edges() {
+	for _, edge := range set.Edges() {
 		if _, err := fmt.Fprintf(w, "CREATE RULE PRIORITY %s BEFORE %s;\n", edge[0], edge[1]); err != nil {
 			return err
 		}
 	}
-	for _, name := range e.defOrder {
-		if !e.ruleSet[name].Active {
-			if _, err := fmt.Fprintf(w, "DEACTIVATE RULE %s;\n", name); err != nil {
+	for i := 0; i < set.Len(); i++ {
+		if r := set.Rule(i); !r.Active {
+			if _, err := fmt.Fprintf(w, "DEACTIVATE RULE %s;\n", r.Name); err != nil {
 				return err
 			}
 		}

@@ -334,7 +334,7 @@ func (e *Engine) CheckpointTo(l *wal.Log) error {
 			}
 		}
 		var ruleSQL strings.Builder
-		if err := e.dumpRules(&ruleSQL); err != nil {
+		if err := dumpRules(&ruleSQL, e.rules); err != nil {
 			return err
 		}
 		return cw.Rules(ruleSQL.String())

@@ -167,10 +167,13 @@ type TxnResult struct {
 
 // Engine is the database system with the production rules facility.
 type Engine struct {
-	store    *storage.Store
-	ruleSet  map[string]*rules.Rule
-	defOrder []string
-	selector *rules.Selector
+	store *storage.Store
+	// rules is the current rule set. Rule DDL swaps in a new immutable
+	// value (which publish shares with readers); run holds the Figure 1
+	// state of each rule, indexed by ordinal in rules.
+	rules    *rules.Set
+	run      []runState
+	selector rules.Selector
 	procs    map[string]ProcFunc
 	cfg      Config
 	seq      int64
@@ -195,18 +198,25 @@ type Engine struct {
 	planCounters exec.PlanCounters
 }
 
+// runState is one rule's state in the rule-processing run of Figure 1.
+type runState struct {
+	// trans is the rule's composite transition information
+	// (init-trans-info / modify-trans-info), reset once per transaction.
+	trans *rules.Effect
+	// lastConsidered is the sequence number stamped when the rule was
+	// defined or last chosen for consideration (recency tie-breaks).
+	lastConsidered int64
+}
+
 // New returns an engine with an empty database.
 func New(cfg Config) *Engine {
 	if cfg.MaxRuleTransitions == 0 {
 		cfg.MaxRuleTransitions = defaultMaxRuleTransitions
 	}
-	sel := rules.NewSelector()
-	sel.Strategy = cfg.Strategy
-	sel.Choose = cfg.SelectHook
 	e := &Engine{
 		store:    storage.New(),
-		ruleSet:  make(map[string]*rules.Rule),
-		selector: sel,
+		rules:    &rules.Set{},
+		selector: rules.Selector{Strategy: cfg.Strategy, Choose: cfg.SelectHook},
 		procs:    make(map[string]ProcFunc),
 		cfg:      cfg,
 	}
@@ -224,28 +234,25 @@ func (e *Engine) RegisterProcedure(name string, fn ProcFunc) {
 	e.procs[name] = fn
 }
 
-// Rules returns the defined rule names in definition order.
-func (e *Engine) Rules() []string {
-	out := make([]string, len(e.defOrder))
-	copy(out, e.defOrder)
-	return out
-}
+// Rules returns the defined rule names in definition order, from the
+// published rule set (lock-free).
+func (e *Engine) Rules() []string { return e.snap.Load().rules.Names() }
 
-// Rule returns a defined rule by name.
+// Rule returns a defined rule by name, from the published rule set.
 func (e *Engine) Rule(name string) (*rules.Rule, bool) {
-	r, ok := e.ruleSet[name]
-	return r, ok
+	set := e.snap.Load().rules
+	i, ok := set.Ordinal(name)
+	if !ok {
+		return nil, false
+	}
+	return set.Rule(i), true
 }
 
-// SetRuleScope overrides one rule's triggering scope (footnote 8).
+// SetRuleScope overrides one rule's triggering scope (footnote 8) by
+// executing `ALTER RULE name SCOPE SINCE ...`, so the change is logged and
+// replicated like any other rule definition.
 func (e *Engine) SetRuleScope(name string, scope rules.TriggerScope) error {
-	r, ok := e.ruleSet[name]
-	if !ok {
-		return fmt.Errorf("engine: rule %q does not exist", name)
-	}
-	r.Scope = scope
-	e.publish()
-	return nil
+	return e.execDefinition(&sqlast.AlterRule{Name: name, Scope: sqlast.RuleScope(scope)})
 }
 
 // SetTrace installs (or, with nil, removes) the trace hook. The swap is a
@@ -259,8 +266,13 @@ func (e *Engine) SetTrace(fn func(TraceEvent)) {
 	e.traceFn.Store(&fn)
 }
 
-func (e *Engine) trace(ev TraceEvent) {
+// trace emits ev to the installed handler, first rendering eff (when
+// non-nil) into ev.Effect. Without a handler nothing is rendered.
+func (e *Engine) trace(ev TraceEvent, eff *rules.Effect) {
 	if fn := e.traceFn.Load(); fn != nil {
+		if eff != nil {
+			ev.Effect = eff.String()
+		}
 		(*fn)(ev)
 	}
 }
@@ -476,57 +488,70 @@ func (e *Engine) applyDefinition(st sqlast.Statement) error {
 	case *sqlast.DropIndex:
 		return e.store.DropIndex(s.Name)
 	case *sqlast.CreateRule:
-		return e.DefineRule(s)
-	case *sqlast.CreateRulePriority:
-		return e.AddPriority(s.Before, s.After)
-	case *sqlast.DropRule:
-		return e.DropRule(s.Name)
-	case *sqlast.SetRuleActive:
-		r, ok := e.ruleSet[s.Name]
-		if !ok {
-			return fmt.Errorf("engine: rule %q does not exist", s.Name)
+		r, err := e.newRule(s)
+		if err != nil {
+			return err
 		}
-		r.Active = s.Active
-		return nil
+		return e.install(e.rules.Define(r))
+	case *sqlast.CreateRulePriority:
+		return e.install(e.rules.AddPriority(s.Before, s.After))
+	case *sqlast.DropRule:
+		return e.install(e.rules.Drop(s.Name))
+	case *sqlast.SetRuleActive:
+		return e.install(e.rules.Update(s.Name, func(r *rules.Rule) { r.Active = s.Active }))
+	case *sqlast.AlterRule:
+		return e.install(e.rules.Update(s.Name, func(r *rules.Rule) { r.Scope = rules.TriggerScope(s.Scope) }))
 	default:
 		return fmt.Errorf("engine: unsupported statement %T", st)
 	}
 }
 
-// DefineRule validates and installs a production rule.
-func (e *Engine) DefineRule(cr *sqlast.CreateRule) error {
-	if _, dup := e.ruleSet[cr.Name]; dup {
-		return fmt.Errorf("engine: rule %q already exists", cr.Name)
-	}
-	if err := rules.ValidateRule(cr, e.store.Catalog()); err != nil {
+// install makes set the engine's rule set after a successful rule DDL
+// (passing err through otherwise). Run state follows each rule by name, so
+// a rule keeps its recency stamp across other rules' DDL; a new rule is
+// stamped now.
+func (e *Engine) install(set *rules.Set, err error) error {
+	if err != nil {
 		return err
+	}
+	run := make([]runState, set.Len())
+	for i := range run {
+		if j, ok := e.rules.Ordinal(set.Rule(i).Name); ok {
+			run[i] = e.run[j]
+		} else {
+			e.seq++
+			run[i].lastConsidered = e.seq
+		}
+	}
+	e.rules, e.run = set, run
+	return nil
+}
+
+// newRule validates a CREATE RULE statement and builds the rule.
+func (e *Engine) newRule(cr *sqlast.CreateRule) (*rules.Rule, error) {
+	if err := rules.ValidateRule(cr, e.store.Catalog()); err != nil {
+		return nil, err
 	}
 	if cr.Action.Call != "" {
 		if _, ok := e.procs[cr.Action.Call]; !ok {
-			return fmt.Errorf("engine: rule %q calls unregistered procedure %q", cr.Name, cr.Action.Call)
+			return nil, fmt.Errorf("engine: rule %q calls unregistered procedure %q", cr.Name, cr.Action.Call)
 		}
 	}
 	for _, p := range cr.Preds {
 		if p.Op == sqlast.PredSelected && !e.cfg.EnableSelectTriggers {
-			return fmt.Errorf("engine: rule %q uses SELECTED predicates but select triggering is not enabled", cr.Name)
+			return nil, fmt.Errorf("engine: rule %q uses SELECTED predicates but select triggering is not enabled", cr.Name)
 		}
 	}
-	scope := e.cfg.DefaultScope
-	switch cr.Scope {
-	case sqlast.ScopeSinceConsidered:
-		scope = rules.ScopeSinceConsidered
-	case sqlast.ScopeSinceTriggered:
-		scope = rules.ScopeSinceTriggered
-	}
-	e.seq++
 	r := &rules.Rule{
-		Name:           cr.Name,
-		Preds:          cr.Preds,
-		Condition:      cr.Condition,
-		Action:         cr.Action,
-		Active:         true,
-		Scope:          scope,
-		LastConsidered: e.seq,
+		Name:      cr.Name,
+		Preds:     cr.Preds,
+		Condition: cr.Condition,
+		Action:    cr.Action,
+		Active:    true,
+		Scope:     rules.TriggerScope(cr.Scope),
+	}
+	if cr.Scope == sqlast.ScopeDefault {
+		r.Scope = e.cfg.DefaultScope
 	}
 	if !e.cfg.FullTransInfo {
 		r.PredTables = make(map[string]bool, len(cr.Preds))
@@ -534,37 +559,7 @@ func (e *Engine) DefineRule(cr *sqlast.CreateRule) error {
 			r.PredTables[p.Table] = true
 		}
 	}
-	e.ruleSet[cr.Name] = r
-	e.defOrder = append(e.defOrder, cr.Name)
-	return nil
-}
-
-// DropRule removes a rule and its priority edges.
-func (e *Engine) DropRule(name string) error {
-	if _, ok := e.ruleSet[name]; !ok {
-		return fmt.Errorf("engine: rule %q does not exist", name)
-	}
-	delete(e.ruleSet, name)
-	for i, n := range e.defOrder {
-		if n == name {
-			e.defOrder = append(e.defOrder[:i], e.defOrder[i+1:]...)
-			break
-		}
-	}
-	e.selector.DropRule(name)
-	return nil
-}
-
-// AddPriority declares `create rule priority before BEFORE after`
-// (Section 4.4).
-func (e *Engine) AddPriority(before, after string) error {
-	if _, ok := e.ruleSet[before]; !ok {
-		return fmt.Errorf("engine: rule %q does not exist", before)
-	}
-	if _, ok := e.ruleSet[after]; !ok {
-		return fmt.Errorf("engine: rule %q does not exist", after)
-	}
-	return e.selector.AddPriority(before, after)
+	return r, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +593,6 @@ func (e *Engine) RunTransaction(ops []sqlast.Statement) (*TxnResult, error) {
 
 	fail := func(err error) (*TxnResult, error) {
 		e.store.Rollback()
-		e.clearTransInfo()
 		e.walEff = nil
 		e.stats.RolledBack++
 		// The data snapshot is unchanged (rollback restored the published
@@ -622,27 +616,27 @@ func (e *Engine) RunTransaction(ops []sqlast.Statement) (*TxnResult, error) {
 			return fail(err)
 		}
 		e.stats.ExternalTransitions++
-		e.trace(TraceEvent{Kind: TraceExternalTransition, Effect: blockEff.String()})
+		e.trace(TraceEvent{Kind: TraceExternalTransition}, blockEff)
 		if e.walEff != nil {
 			e.walEff.Apply(blockEff)
 		}
 		if first {
 			// init-trans-info for every rule, restricted to the tables the
-			// rule can reference.
-			for _, r := range e.ruleSet {
-				r.TransInfo = blockEff.CloneFiltered(r.Keep)
+			// rule can reference. This resets the previous transaction's
+			// state.
+			for i := range e.run {
+				e.run[i].trans = blockEff.CloneFiltered(e.rules.Rule(i).Keep)
 			}
 			first = false
 		} else {
 			// Later external segments compose like rule transitions.
-			e.applyToAll(nil, blockEff)
+			e.applyToAll(-1, blockEff)
 		}
 		done, err := e.processRules(res, &transitions, deadline)
 		if err != nil {
 			return fail(err)
 		}
 		if done { // rolled back by a rule
-			e.clearTransInfo()
 			e.walEff = nil
 			e.stats.RolledBack++
 			e.publish()
@@ -666,22 +660,14 @@ func (e *Engine) RunTransaction(ops []sqlast.Statement) (*TxnResult, error) {
 	if err := e.store.Commit(); err != nil {
 		return fail(err)
 	}
-	e.clearTransInfo()
 	e.walEff = nil
 	e.stats.Committed++
 	// store.Commit published the new storage snapshot; republish the
 	// engine state so readers pick it up together with the new counters
 	// and LSN.
 	e.publish()
-	e.trace(TraceEvent{Kind: TraceCommit})
+	e.trace(TraceEvent{Kind: TraceCommit}, nil)
 	return res, nil
-}
-
-// clearTransInfo drops per-transaction rule state.
-func (e *Engine) clearTransInfo() {
-	for _, r := range e.ruleSet {
-		r.TransInfo = nil
-	}
 }
 
 func splitAtTriggeringPoints(ops []sqlast.Statement) [][]sqlast.Statement {
@@ -735,39 +721,40 @@ func (e *Engine) processRules(res *TxnResult, transitions *int, deadline time.Ti
 	// new transition occurs (Section 4.2: a rule whose condition was found
 	// false "may be reconsidered in S2 as long as it is still triggered by
 	// the composite effect").
-	consideredFalse := make(map[string]bool)
+	consideredFalse := make([]bool, len(e.run))
 	for {
-		r, err := e.selectTriggeredRule(consideredFalse)
+		i, err := e.selectTriggeredRule(consideredFalse)
 		if err != nil {
 			return false, err
 		}
-		if r == nil {
+		if i < 0 {
 			return false, nil
 		}
+		r, st := e.rules.Rule(i), &e.run[i]
 		e.seq++
-		r.LastConsidered = e.seq
+		st.lastConsidered = e.seq
 
 		// Evaluate the condition with the rule's transition tables.
-		env := e.newEnv(&rules.TransSource{Store: e.store, Effect: r.TransInfo})
+		env := e.newEnv(&rules.TransSource{Store: e.store, Effect: st.trans})
 		condHeld, err := env.EvalPredicate(r.Condition)
 		if err != nil {
 			return false, fmt.Errorf("engine: rule %q condition: %w", r.Name, err)
 		}
 		e.stats.RuleConsiderations++
-		e.trace(TraceEvent{Kind: TraceRuleConsidered, Rule: r.Name, CondHeld: condHeld, Effect: r.TransInfo.String()})
+		e.trace(TraceEvent{Kind: TraceRuleConsidered, Rule: r.Name, CondHeld: condHeld}, st.trans)
 
 		if r.Scope == rules.ScopeSinceConsidered && !condHeld {
 			// Footnote 8 alternative: the evaluation window restarts at
 			// every consideration.
-			r.TransInfo = rules.NewEffect()
+			st.trans = rules.NewEffect()
 		}
 		if !condHeld {
-			consideredFalse[r.Name] = true
+			consideredFalse[i] = true
 			continue
 		}
 
 		if r.Action.Rollback {
-			e.trace(TraceEvent{Kind: TraceRollback, Rule: r.Name})
+			e.trace(TraceEvent{Kind: TraceRollback, Rule: r.Name}, nil)
 			if err := e.store.Rollback(); err != nil {
 				return false, err
 			}
@@ -784,57 +771,58 @@ func (e *Engine) processRules(res *TxnResult, transitions *int, deadline time.Ti
 			return false, fmt.Errorf("%w (rule %q, limit %d)", ErrRunaway, r.Name, e.cfg.MaxRuleTransitions)
 		}
 
-		actEff, delivered, err := e.execRuleAction(r)
+		actEff, delivered, err := e.execRuleAction(r, st.trans)
 		if err != nil {
 			return false, fmt.Errorf("engine: rule %q action: %w", r.Name, err)
 		}
 		res.Queries = append(res.Queries, delivered...)
 		e.stats.RuleFirings++
-		res.Firings = append(res.Firings, Firing{Rule: r.Name, Effect: actEff.String()})
-		e.trace(TraceEvent{Kind: TraceRuleFired, Rule: r.Name, Effect: actEff.String(), Transient: *transitions})
+		f := Firing{Rule: r.Name, Effect: actEff.String()}
+		res.Firings = append(res.Firings, f)
+		e.trace(TraceEvent{Kind: TraceRuleFired, Rule: r.Name, Effect: f.Effect, Transient: *transitions}, nil)
 
 		// Figure 1: the executing rule gets fresh transition information
 		// (init-trans-info); every other rule composes (modify-trans-info).
-		r.TransInfo = actEff.CloneFiltered(r.Keep)
-		e.applyToAll(r, actEff)
+		st.trans = actEff.CloneFiltered(r.Keep)
+		e.applyToAll(i, actEff)
 		if e.walEff != nil {
 			e.walEff.Apply(actEff)
 		}
 
 		// A new transition occurred: previously false conditions may now
 		// hold (or rules may be newly triggered) — reconsider everything.
-		consideredFalse = make(map[string]bool)
+		clear(consideredFalse)
 	}
 }
 
-// selectTriggeredRule returns a triggered, active, not-yet-rejected rule
-// chosen by the selector, or nil.
-func (e *Engine) selectTriggeredRule(consideredFalse map[string]bool) (*rules.Rule, error) {
-	var triggered []*rules.Rule
-	for _, name := range e.defOrder {
-		r := e.ruleSet[name]
-		if !r.Active || consideredFalse[name] {
+// selectTriggeredRule returns the ordinal of a triggered, active,
+// not-yet-rejected rule chosen by the selector, or -1.
+func (e *Engine) selectTriggeredRule(consideredFalse []bool) (int, error) {
+	var triggered []rules.Candidate
+	cat := e.store.Catalog()
+	for i, st := range e.run {
+		if !e.rules.Rule(i).Active || consideredFalse[i] {
 			continue
 		}
-		ok, err := r.Triggered(e.store.Catalog())
+		ok, err := rules.EffectSatisfies(st.trans, e.rules.Rule(i).Preds, cat)
 		if err != nil {
-			return nil, err
+			return -1, err
 		}
 		if ok {
-			triggered = append(triggered, r)
+			triggered = append(triggered, rules.Candidate{Ordinal: i, LastConsidered: st.lastConsidered})
 		}
 	}
-	return e.selector.Select(triggered), nil
+	return e.selector.Select(e.rules, triggered), nil
 }
 
 // execRuleAction runs a rule's action (operation block or external
-// procedure) and returns the effect of the created transition plus any
-// result sets its SELECT operations retrieved (the Section 5.1 "data
-// retrieval in rules' actions" extension: results are delivered to the
-// client with the transaction result).
-func (e *Engine) execRuleAction(r *rules.Rule) (*rules.Effect, []*exec.Result, error) {
+// procedure) against its transition information and returns the effect of
+// the created transition plus any result sets its SELECT operations
+// retrieved (the Section 5.1 "data retrieval in rules' actions" extension:
+// results are delivered to the client with the transaction result).
+func (e *Engine) execRuleAction(r *rules.Rule, trans *rules.Effect) (*rules.Effect, []*exec.Result, error) {
 	eff := rules.NewEffect()
-	env := e.newEnv(&rules.TransSource{Store: e.store, Effect: r.TransInfo})
+	env := e.newEnv(&rules.TransSource{Store: e.store, Effect: trans})
 	if e.cfg.EnableSelectTriggers {
 		env.Observer = &selCollector{eff: eff}
 	}
@@ -869,24 +857,22 @@ func (e *Engine) execRuleAction(r *rules.Rule) (*rules.Effect, []*exec.Result, e
 }
 
 // applyToAll folds a new transition's effect into every rule's transition
-// information except the rule that generated it (exclude may be nil). The
-// footnote 8 since-triggered scope restarts a rule's window at any
-// transition that by itself satisfies the rule's predicate.
-func (e *Engine) applyToAll(exclude *rules.Rule, eff *rules.Effect) {
-	for _, r := range e.ruleSet {
-		if r == exclude {
+// information except that of the rule with ordinal exclude, which
+// generated it (-1 for none). The footnote 8 since-triggered scope restarts
+// a rule's window at any transition that by itself satisfies the rule's
+// predicate.
+func (e *Engine) applyToAll(exclude int, eff *rules.Effect) {
+	for i := range e.run {
+		if i == exclude {
 			continue
 		}
-		if r.TransInfo == nil {
-			r.TransInfo = eff.CloneFiltered(r.Keep)
-			continue
-		}
+		r, st := e.rules.Rule(i), &e.run[i]
 		if r.Scope == rules.ScopeSinceTriggered {
 			if ok, _ := rules.EffectSatisfies(eff, r.Preds, e.store.Catalog()); ok {
-				r.TransInfo = eff.CloneFiltered(r.Keep)
+				st.trans = eff.CloneFiltered(r.Keep)
 				continue
 			}
 		}
-		r.TransInfo.ApplyFiltered(eff, r.Keep)
+		st.trans.ApplyFiltered(eff, r.Keep)
 	}
 }

@@ -1,21 +1,19 @@
 package engine
 
 import (
-	"strings"
-
+	"sopr/internal/rules"
 	"sopr/internal/storage"
 )
 
 // snapState is one published point-in-time state of the whole engine: the
 // storage snapshot plus everything else a lock-free reader may ask for —
-// the rule-definition script (rendered eagerly, because rule structures
-// are writer-private), the last durable LSN, and the engine counters as of
-// the publish. One atomic pointer holds all of it so Dump sees a single
-// consistent cut: data, indexes, rules, and stats all from the same
-// instant, never old tables with new rules.
+// the rule set (an immutable value, shared as is), the last durable LSN,
+// and the engine counters as of the publish. One atomic pointer holds all
+// of it so Dump sees a single consistent cut: data, indexes, rules, and
+// stats all from the same instant, never old tables with new rules.
 type snapState struct {
 	store *storage.Snapshot
-	rules string // dumpRules output at publish time
+	rules *rules.Set
 	lsn   uint64 // last durable LSN at publish time (0 without a WAL)
 	stats Stats  // engine + WAL counters at publish time
 }
@@ -23,24 +21,22 @@ type snapState struct {
 // publish captures the current committed state behind the engine's atomic
 // snapshot pointer. It runs only on the exclusive write path — after a
 // commit, rollback (for the counters), definition statement, checkpoint,
-// or replayed batch — so it may freely read writer-private state: the rule
-// set, the plain engine counters, and the WAL's mutex-guarded counters.
-// Readers then get all of it from one atomic load, with zero locking.
+// or replayed batch — so it may freely read writer-private state: the plain
+// engine counters and the WAL's mutex-guarded counters. Its cost does not
+// depend on the number of rules. Readers then get all of it from one
+// atomic load, with zero locking.
 func (e *Engine) publish() {
 	st := e.stats
 	var lsn uint64
 	if e.wal != nil {
 		ws := e.wal.Stats()
 		st.WALAppends, st.WALBytes = ws.Appends, ws.Bytes
-		st.WALGroupCommits, st.WALGroupedTxns = ws.GroupCommits, ws.GroupedTxns
+		st.GroupCommits, st.GroupedTxns = ws.GroupCommits, ws.GroupedTxns
 		lsn = e.wal.NextLSN() - 1
 	}
-	var rules strings.Builder
-	// dumpRules only fails on writer errors; strings.Builder has none.
-	_ = e.dumpRules(&rules)
 	e.snap.Store(&snapState{
 		store: e.store.Snapshot(),
-		rules: rules.String(),
+		rules: e.rules,
 		lsn:   lsn,
 		stats: st,
 	})

@@ -27,9 +27,9 @@ type Stats struct {
 	Checkpoints      int64
 	// Group-commit counters (SyncAlways durable path): leader fsyncs
 	// issued from the commit queue and the committers they acknowledged.
-	// WALGroupedTxns/WALGroupCommits is the fsync amortization factor.
-	WALGroupCommits int64
-	WALGroupedTxns  int64
+	// GroupedTxns/GroupCommits is the fsync amortization factor.
+	GroupCommits int64
+	GroupedTxns  int64
 	// Planner counters: query blocks executed through the cost-based join
 	// planner, and index probes that fell back to a heap scan at lookup
 	// time (the 2^53 integer-keyspace fallback).

@@ -811,6 +811,14 @@ func (f *Follower) Exec(src string) (*sopr.Result, error) {
 	f.mu.Lock()
 	txn, err := f.eng.Exec(src)
 	f.mu.Unlock()
+	// The engine appends commits without waiting for their fsync; like
+	// sopr.DB, wait outside the lock so concurrent commits share one, and
+	// never acknowledge (or count a follower ack for) an unsynced write.
+	if f.log != nil && txn != nil && txn.LastLSN > 0 {
+		if werr := f.log.WaitDurable(txn.LastLSN); werr != nil && err == nil {
+			err = werr
+		}
+	}
 	if f.log != nil {
 		f.advanceTo(f.log.NextLSN() - 1)
 	} else {
@@ -863,24 +871,7 @@ func (f *Follower) Dump(w io.Writer) error {
 func (f *Follower) Stats() sopr.Stats {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	s := f.eng.Stats()
-	return sopr.Stats{
-		Committed:           s.Committed,
-		RolledBack:          s.RolledBack,
-		ExternalTransitions: s.ExternalTransitions,
-		RuleConsiderations:  s.RuleConsiderations,
-		RuleFirings:         s.RuleFirings,
-		IndexLookups:        s.IndexLookups,
-		HeapScans:           s.HeapScans,
-		WALAppends:          s.WALAppends,
-		WALBytes:            s.WALBytes,
-		RecoveredRecords:    s.RecoveredRecords,
-		Checkpoints:         s.Checkpoints,
-		GroupCommits:        s.WALGroupCommits,
-		GroupedTxns:         s.WALGroupedTxns,
-		PlannedQueries:      s.PlannedQueries,
-		PlanProbeFallbacks:  s.PlanProbeFallbacks,
-	}
+	return sopr.Stats(f.eng.Stats())
 }
 
 // ReplStats reports the node's replication position, epoch, and lag.

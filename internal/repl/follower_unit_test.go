@@ -3,9 +3,11 @@ package repl
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"sopr/internal/wal"
 	"sopr/internal/wire"
 )
 
@@ -105,5 +107,41 @@ func TestExecReadOnlyUntilPromoted(t *testing.T) {
 	}
 	if st := f.ReplStats(); st.Role != "primary" || !st.Promoted {
 		t.Fatalf("promoted stats = %+v", st)
+	}
+}
+
+// TestPromotedDurableFollowerAcksOnlySyncedCommits: the engine appends a
+// commit record without waiting for its fsync, so a promoted durable
+// follower must wait for durability before acknowledging. An OS crash
+// right after the acknowledgement (MemFS.DropUnsynced) must not lose the
+// write.
+func TestPromotedDurableFollowerAcksOnlySyncedCommits(t *testing.T) {
+	fs := wal.NewMemFS()
+	cfg := FollowerConfig{Primary: "unused:0", DataDir: "data", FS: fs}
+	f, err := NewFollower(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Promote(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Exec(`create table t (a int)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Exec(`insert into t values (42)`); err != nil {
+		t.Fatal(err)
+	}
+	fs.DropUnsynced() // crash: the old follower is abandoned, not closed
+
+	f2, err := NewFollower(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	var b strings.Builder
+	if err := f2.Dump(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "INSERT INTO t VALUES (42)") {
+		t.Fatalf("acknowledged insert lost in the crash; recovered dump:\n%s", b.String())
 	}
 }

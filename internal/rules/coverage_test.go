@@ -219,18 +219,21 @@ func TestRuleKeep(t *testing.T) {
 }
 
 func TestSelectorEdges(t *testing.T) {
-	s := NewSelector()
+	s := setOf(t, "a", "b", "c")
 	if edges := s.Edges(); len(edges) != 0 {
-		t.Errorf("empty selector edges: %v", edges)
+		t.Errorf("empty set edges: %v", edges)
 	}
-	s.AddPriority("b", "c")
-	s.AddPriority("a", "c")
-	s.AddPriority("a", "b")
+	s = mustPriority(t, s, "b", "c")
+	s = mustPriority(t, s, "a", "c")
+	s = mustPriority(t, s, "a", "b")
 	want := [][2]string{{"a", "b"}, {"a", "c"}, {"b", "c"}}
 	if got := s.Edges(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Edges = %v, want %v", got, want)
 	}
-	s.DropRule("a")
+	s, err := s.Drop("a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	want = [][2]string{{"b", "c"}}
 	if got := s.Edges(); !reflect.DeepEqual(got, want) {
 		t.Errorf("after drop: %v", got)
@@ -243,36 +246,41 @@ func TestSelectorEdges(t *testing.T) {
 func TestSelectorMaximalityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	names := []string{"a", "b", "c", "d", "e", "f", "g"}
+	var sel Selector
 	for trial := 0; trial < 200; trial++ {
-		s := NewSelector()
+		s := setOf(t, names...)
 		// Random edge attempts; cycle-creating ones must be rejected.
 		for k := 0; k < 10; k++ {
 			i, j := rng.Intn(len(names)), rng.Intn(len(names))
-			err := s.AddPriority(names[i], names[j])
-			if err == nil && s.Higher(names[j], names[i]) {
+			s2, err := s.AddPriority(names[i], names[j])
+			if err != nil {
+				continue
+			}
+			if s2.Higher(names[j], names[i]) {
 				t.Fatal("accepted edge created a cycle")
 			}
+			s = s2
 		}
 		// Random triggered subset.
-		var triggered []*Rule
-		for _, n := range names {
+		var triggered []Candidate
+		for i := range names {
 			if rng.Intn(2) == 0 {
-				triggered = append(triggered, &Rule{Name: n, LastConsidered: int64(rng.Intn(5))})
+				triggered = append(triggered, Candidate{Ordinal: i, LastConsidered: int64(rng.Intn(5))})
 			}
 		}
-		got := s.Select(triggered)
+		got := sel.Select(s, triggered)
 		if len(triggered) == 0 {
-			if got != nil {
+			if got != -1 {
 				t.Fatal("Select of empty set returned a rule")
 			}
 			continue
 		}
-		if got == nil {
-			t.Fatal("Select returned nil for non-empty set")
+		if got < 0 {
+			t.Fatal("Select returned -1 for non-empty set")
 		}
-		for _, r := range triggered {
-			if r != got && s.Higher(r.Name, got.Name) {
-				t.Fatalf("trial %d: selected %q is dominated by triggered %q", trial, got.Name, r.Name)
+		for _, c := range triggered {
+			if c.Ordinal != got && s.Higher(names[c.Ordinal], names[got]) {
+				t.Fatalf("trial %d: selected %q is dominated by triggered %q", trial, names[got], names[c.Ordinal])
 			}
 		}
 	}

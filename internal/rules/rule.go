@@ -41,6 +41,10 @@ func (s TriggerScope) String() string {
 // Rule is one defined production rule (Section 3):
 //
 //	create rule Name when Preds [if Condition] then Action
+//
+// A Rule is immutable once defined: ACTIVATE and ALTER RULE replace it in a
+// new Set, and Figure 1's per-transaction state (transition information,
+// recency) is kept by the engine, not here.
 type Rule struct {
 	Name      string
 	Preds     []sqlast.TransPred
@@ -49,12 +53,6 @@ type Rule struct {
 	Active    bool
 	Scope     TriggerScope
 
-	// TransInfo is the rule's composite transition information, maintained
-	// by the engine per Figure 1 (init-trans-info / modify-trans-info).
-	TransInfo *Effect
-	// LastConsidered is a monotone sequence number stamped when the rule
-	// was last chosen for consideration; used by recency tie-breaks.
-	LastConsidered int64
 	// PredTables caches the tables named in Preds. When set, the engine
 	// restricts the rule's transition information to these tables — the
 	// optimization Figure 1's discussion calls out ("we need only save the
@@ -70,19 +68,10 @@ func (r *Rule) Keep(table string) bool {
 	return r.PredTables == nil || r.PredTables[table]
 }
 
-// Triggered implements the triggering test of Section 3: the rule's
-// transition predicate (a disjunction of basic predicates) holds with
-// respect to the composite effect in TransInfo. The catalog maps predicate
-// column names to indexes.
-func (r *Rule) Triggered(cat *catalog.Catalog) (bool, error) {
-	if r.TransInfo == nil {
-		return false, nil
-	}
-	return EffectSatisfies(r.TransInfo, r.Preds, cat)
-}
-
 // EffectSatisfies reports whether the effect satisfies any of the basic
-// transition predicates.
+// transition predicates — the triggering test of Section 3 when the effect
+// is a rule's composite transition information. The catalog maps predicate
+// column names to indexes.
 func EffectSatisfies(e *Effect, preds []sqlast.TransPred, cat *catalog.Catalog) (bool, error) {
 	for _, p := range preds {
 		ok, err := effectSatisfiesOne(e, p, cat)
@@ -163,27 +152,24 @@ func ValidateRule(r *sqlast.CreateRule, cat *catalog.Catalog) error {
 			return fmt.Errorf("rules: rule %q: table %q has no column %q", r.Name, p.Table, p.Column)
 		}
 	}
-	check := func(tr *sqlast.TableRef) error {
-		if tr.Trans == sqlast.TransNone {
-			return nil
+	var err error // the first unlicensed reference, in source order
+	check := func(tr *sqlast.TableRef) {
+		if err != nil || tr.Trans == sqlast.TransNone {
+			return
 		}
 		for _, p := range r.Preds {
 			if transMatchesPred(tr, p) {
-				return nil
+				return
 			}
 		}
-		return fmt.Errorf("rules: rule %q references transition table %q with no corresponding transition predicate",
+		err = fmt.Errorf("rules: rule %q references transition table %q with no corresponding transition predicate",
 			r.Name, tr.String())
 	}
-	if err := walkExprTableRefs(r.Condition, check); err != nil {
-		return err
-	}
+	sqlast.ExprTableRefs(r.Condition, check)
 	for _, op := range r.Action.Block {
-		if err := walkStmtTableRefs(op, check); err != nil {
-			return err
-		}
+		sqlast.StmtTableRefs(op, check)
 	}
-	return nil
+	return err
 }
 
 // transMatchesPred reports whether a transition-table reference is licensed
@@ -208,144 +194,5 @@ func transMatchesPred(tr *sqlast.TableRef, p sqlast.TransPred) bool {
 		return p.Op == sqlast.PredSelected && (tr.Column == p.Column || tr.Column == "")
 	default:
 		return false
-	}
-}
-
-// walkExprTableRefs visits every transition-capable table reference in the
-// FROM lists of subqueries embedded in an expression.
-func walkExprTableRefs(e sqlast.Expr, fn func(*sqlast.TableRef) error) error {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *sqlast.Unary:
-		return walkExprTableRefs(x.X, fn)
-	case *sqlast.Binary:
-		if err := walkExprTableRefs(x.L, fn); err != nil {
-			return err
-		}
-		return walkExprTableRefs(x.R, fn)
-	case *sqlast.IsNull:
-		return walkExprTableRefs(x.X, fn)
-	case *sqlast.Between:
-		if err := walkExprTableRefs(x.X, fn); err != nil {
-			return err
-		}
-		if err := walkExprTableRefs(x.Lo, fn); err != nil {
-			return err
-		}
-		return walkExprTableRefs(x.Hi, fn)
-	case *sqlast.Like:
-		if err := walkExprTableRefs(x.X, fn); err != nil {
-			return err
-		}
-		return walkExprTableRefs(x.Pattern, fn)
-	case *sqlast.InList:
-		if err := walkExprTableRefs(x.X, fn); err != nil {
-			return err
-		}
-		for _, el := range x.List {
-			if err := walkExprTableRefs(el, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *sqlast.InSelect:
-		if err := walkExprTableRefs(x.X, fn); err != nil {
-			return err
-		}
-		return walkSelectTableRefs(x.Sub, fn)
-	case *sqlast.Exists:
-		return walkSelectTableRefs(x.Sub, fn)
-	case *sqlast.ScalarSub:
-		return walkSelectTableRefs(x.Sub, fn)
-	case *sqlast.SubCompare:
-		if err := walkExprTableRefs(x.X, fn); err != nil {
-			return err
-		}
-		return walkSelectTableRefs(x.Sub, fn)
-	case *sqlast.FuncCall:
-		for _, a := range x.Args {
-			if err := walkExprTableRefs(a, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *sqlast.Case:
-		if err := walkExprTableRefs(x.Operand, fn); err != nil {
-			return err
-		}
-		for _, w := range x.Whens {
-			if err := walkExprTableRefs(w.Cond, fn); err != nil {
-				return err
-			}
-			if err := walkExprTableRefs(w.Result, fn); err != nil {
-				return err
-			}
-		}
-		return walkExprTableRefs(x.Else, fn)
-	default:
-		return nil
-	}
-}
-
-func walkSelectTableRefs(sel *sqlast.Select, fn func(*sqlast.TableRef) error) error {
-	if sel == nil {
-		return nil
-	}
-	for _, tr := range sel.From {
-		if err := fn(tr); err != nil {
-			return err
-		}
-	}
-	for _, it := range sel.Items {
-		if err := walkExprTableRefs(it.Expr, fn); err != nil {
-			return err
-		}
-	}
-	if err := walkExprTableRefs(sel.Where, fn); err != nil {
-		return err
-	}
-	for _, g := range sel.GroupBy {
-		if err := walkExprTableRefs(g, fn); err != nil {
-			return err
-		}
-	}
-	if err := walkExprTableRefs(sel.Having, fn); err != nil {
-		return err
-	}
-	for _, o := range sel.OrderBy {
-		if err := walkExprTableRefs(o.Expr, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// walkStmtTableRefs visits transition-table references within a DML
-// statement (action operation).
-func walkStmtTableRefs(st sqlast.Statement, fn func(*sqlast.TableRef) error) error {
-	switch s := st.(type) {
-	case *sqlast.Insert:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				if err := walkExprTableRefs(e, fn); err != nil {
-					return err
-				}
-			}
-		}
-		return walkSelectTableRefs(s.Query, fn)
-	case *sqlast.Delete:
-		return walkExprTableRefs(s.Where, fn)
-	case *sqlast.Update:
-		for _, a := range s.Set {
-			if err := walkExprTableRefs(a.Expr, fn); err != nil {
-				return err
-			}
-		}
-		return walkExprTableRefs(s.Where, fn)
-	case *sqlast.Select:
-		return walkSelectTableRefs(s, fn)
-	default:
-		return nil
 	}
 }

@@ -103,15 +103,12 @@ func TestEffectSatisfies(t *testing.T) {
 func TestRuleTriggered(t *testing.T) {
 	cat := testCatalog(t)
 	r := &Rule{Name: "r", Preds: []sqlast.TransPred{pred(sqlast.PredInserted, "emp", "")}, Active: true}
-	if got, _ := r.Triggered(cat); got {
-		t.Error("rule with nil TransInfo triggered")
+	trans := NewEffect()
+	if got, _ := EffectSatisfies(trans, r.Preds, cat); got {
+		t.Error("rule with empty transition information triggered")
 	}
-	r.TransInfo = NewEffect()
-	if got, _ := r.Triggered(cat); got {
-		t.Error("rule with empty TransInfo triggered")
-	}
-	r.TransInfo.AddOp(insOp("emp", 3))
-	if got, _ := r.Triggered(cat); !got {
+	trans.AddOp(insOp("emp", 3))
+	if got, _ := EffectSatisfies(trans, r.Preds, cat); !got {
 		t.Error("rule not triggered by matching insert")
 	}
 }
@@ -176,78 +173,110 @@ func TestTriggerScopeString(t *testing.T) {
 	}
 }
 
+// setOf returns a rule set defining the named rules in order.
+func setOf(t *testing.T, names ...string) *Set {
+	t.Helper()
+	s := &Set{}
+	for _, n := range names {
+		var err error
+		if s, err = s.Define(&Rule{Name: n, Active: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// mustPriority returns s with the edge before → after added.
+func mustPriority(t *testing.T, s *Set, before, after string) *Set {
+	t.Helper()
+	s2, err := s.AddPriority(before, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s2
+}
+
 func TestSelectorPriorities(t *testing.T) {
-	s := NewSelector()
-	if err := s.AddPriority("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddPriority("b", "c"); err != nil {
-		t.Fatal(err)
-	}
+	s := setOf(t, "a", "b", "c")
+	s = mustPriority(t, s, "a", "b")
+	s = mustPriority(t, s, "b", "c")
 	if !s.Higher("a", "b") || !s.Higher("a", "c") || !s.Higher("b", "c") {
 		t.Error("transitive closure wrong")
 	}
 	if s.Higher("c", "a") || s.Higher("b", "a") || s.Higher("a", "a") {
 		t.Error("spurious priority")
 	}
-	if err := s.AddPriority("c", "a"); err == nil {
+	if _, err := s.AddPriority("c", "a"); err == nil {
 		t.Error("cycle accepted")
 	}
-	if err := s.AddPriority("a", "a"); err == nil {
+	if _, err := s.AddPriority("a", "a"); err == nil {
 		t.Error("self-priority accepted")
 	}
+	if _, err := s.AddPriority("a", "nosuch"); err == nil {
+		t.Error("priority over an undefined rule accepted")
+	}
 	// Dropping a rule removes its edges.
-	s.DropRule("b")
-	if s.Higher("a", "c") {
+	dropped, err := s.Drop("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped.Higher("a", "c") {
 		t.Error("edges through dropped rule should disappear (direct edges only remain)")
+	}
+	// The set the drop started from is unchanged.
+	if !s.Higher("a", "c") || s.Len() != 3 {
+		t.Error("Drop modified its receiver")
 	}
 }
 
 func TestSelectorSelect(t *testing.T) {
-	s := NewSelector()
-	ra := &Rule{Name: "a", LastConsidered: 3}
-	rb := &Rule{Name: "b", LastConsidered: 1}
-	rc := &Rule{Name: "c", LastConsidered: 2}
+	var sel Selector
+	s := setOf(t, "a", "b", "c")
+	a := Candidate{Ordinal: 0, LastConsidered: 3}
+	b := Candidate{Ordinal: 1, LastConsidered: 1}
+	c := Candidate{Ordinal: 2, LastConsidered: 2}
 
-	if got := s.Select(nil); got != nil {
-		t.Error("Select(empty) should be nil")
+	if got := sel.Select(s, nil); got != -1 {
+		t.Error("Select(empty) should be -1")
 	}
 	// No priorities: least-recently-considered wins.
-	if got := s.Select([]*Rule{ra, rb, rc}); got != rb {
-		t.Errorf("LRU pick = %s", got.Name)
+	if got := sel.Select(s, []Candidate{a, b, c}); got != 1 {
+		t.Errorf("LRU pick = %d", got)
 	}
-	s.Strategy = StrategyMostRecent
-	if got := s.Select([]*Rule{ra, rb, rc}); got != ra {
-		t.Errorf("MRU pick = %s", got.Name)
+	sel.Strategy = StrategyMostRecent
+	if got := sel.Select(s, []Candidate{a, b, c}); got != 0 {
+		t.Errorf("MRU pick = %d", got)
 	}
-	s.Strategy = StrategyNameOrder
-	if got := s.Select([]*Rule{rc, ra, rb}); got != ra {
-		t.Errorf("name pick = %s", got.Name)
+	sel.Strategy = StrategyNameOrder
+	if got := sel.Select(s, []Candidate{c, a, b}); got != 0 {
+		t.Errorf("name pick = %d", got)
 	}
 	// Priorities dominate any strategy: c before everything.
-	s.Strategy = StrategyLeastRecent
-	if err := s.AddPriority("c", "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddPriority("c", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Select([]*Rule{ra, rb, rc}); got != rc {
-		t.Errorf("priority pick = %s", got.Name)
+	sel.Strategy = StrategyLeastRecent
+	s = mustPriority(t, s, "c", "a")
+	s = mustPriority(t, s, "c", "b")
+	if got := sel.Select(s, []Candidate{a, b, c}); got != 2 {
+		t.Errorf("priority pick = %d", got)
 	}
 	// Example 4.3 setup: R2 before R1 → R2 chosen first.
-	s2 := NewSelector()
-	r1 := &Rule{Name: "r1"}
-	r2 := &Rule{Name: "r2"}
-	if err := s2.AddPriority("r2", "r1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Select([]*Rule{r1, r2}); got != r2 {
-		t.Errorf("Example 4.3 priority pick = %s", got.Name)
+	s2 := mustPriority(t, setOf(t, "r1", "r2"), "r2", "r1")
+	r1, r2 := Candidate{Ordinal: 0}, Candidate{Ordinal: 1}
+	if got := sel.Select(s2, []Candidate{r1, r2}); got != 1 {
+		t.Errorf("Example 4.3 priority pick = %d", got)
 	}
 	// Ties among equal-priority maximal rules are deterministic.
-	if got := s2.Select([]*Rule{r1}); got != r1 {
+	if got := sel.Select(s2, []Candidate{r1}); got != 0 {
 		t.Error("single rule not selected")
+	}
+	// Choose picks among the maximal rules by name; an unknown answer
+	// falls back to the first name.
+	sel.Choose = func(names []string) string { return names[len(names)-1] }
+	if got := sel.Select(setOf(t, "x", "y"), []Candidate{{Ordinal: 0}, {Ordinal: 1}}); got != 1 {
+		t.Errorf("Choose pick = %d", got)
+	}
+	sel.Choose = func([]string) string { return "nosuch" }
+	if got := sel.Select(setOf(t, "x", "y"), []Candidate{{Ordinal: 1}, {Ordinal: 0}}); got != 0 {
+		t.Errorf("Choose fallback = %d", got)
 	}
 }
 

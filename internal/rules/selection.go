@@ -38,9 +38,8 @@ func (s Strategy) String() string {
 	}
 }
 
-// Selector maintains the user-declared priority partial order
-// (`create rule priority r1 before r2`, Section 4.4) and chooses among
-// triggered rules.
+// Selector chooses among triggered rules (Section 4.4): the priority
+// partial order comes from the rule Set, recency from the candidates.
 type Selector struct {
 	Strategy Strategy
 	// Choose, when non-nil, replaces the Strategy tie-break: it receives
@@ -54,128 +53,54 @@ type Selector struct {
 	// function of the candidate list so that independent executions with
 	// equal histories make equal choices.
 	Choose func(candidates []string) string
-	// higher[a][b] records a declared edge: a has priority over b.
-	higher map[string]map[string]bool
 }
 
-// NewSelector returns a selector with no priority edges and the default
-// strategy.
-func NewSelector() *Selector {
-	return &Selector{higher: make(map[string]map[string]bool)}
+// Candidate is a triggered rule offered to Select: its ordinal in the
+// rule Set and the engine's stamp of when it was last chosen for
+// consideration (a monotone sequence number, used by recency tie-breaks).
+type Candidate struct {
+	Ordinal        int
+	LastConsidered int64
 }
 
-// AddPriority declares that rule before has higher priority than rule
-// after. It fails if the edge would create a cycle ("any acyclic group of
-// such pairings induces a partial order").
-func (s *Selector) AddPriority(before, after string) error {
-	if before == after {
-		return fmt.Errorf("rules: priority of %q over itself", before)
-	}
-	if s.reachable(after, before) {
-		return fmt.Errorf("rules: priority %q before %q would create a cycle", before, after)
-	}
-	m, ok := s.higher[before]
-	if !ok {
-		m = make(map[string]bool)
-		s.higher[before] = m
-	}
-	m[after] = true
-	return nil
-}
-
-// Edges returns the declared priority pairs [before, after], sorted.
-func (s *Selector) Edges() [][2]string {
-	var out [][2]string
-	for before, afters := range s.higher {
-		for after := range afters {
-			out = append(out, [2]string{before, after})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// DropRule removes all priority edges involving the named rule.
-func (s *Selector) DropRule(name string) {
-	delete(s.higher, name)
-	for _, m := range s.higher {
-		delete(m, name)
-	}
-}
-
-// Higher reports whether rule a is strictly higher than rule b in the
-// transitive closure of the declared pairings.
-func (s *Selector) Higher(a, b string) bool { return s.reachable(a, b) }
-
-// reachable performs a DFS over declared edges.
-func (s *Selector) reachable(from, to string) bool {
-	if from == to {
-		return false
-	}
-	seen := map[string]bool{from: true}
-	stack := []string{from}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for m := range s.higher[n] {
-			if m == to {
-				return true
-			}
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return false
-}
-
-// Select returns one rule from the triggered set such that no other rule in
-// the set is strictly higher in the priority order, breaking ties by the
-// configured strategy. It returns nil for an empty set.
-func (s *Selector) Select(triggered []*Rule) *Rule {
-	if len(triggered) == 0 {
-		return nil
-	}
+// Select returns the ordinal of one triggered rule such that no other
+// triggered rule is strictly higher in set's priority order, breaking ties
+// by the configured strategy. It returns -1 for an empty set.
+func (s Selector) Select(set *Set, triggered []Candidate) int {
+	name := func(c Candidate) string { return set.rules[c.Ordinal].Name }
 	// Maximal elements of the partial order.
-	var maximal []*Rule
-	for _, r := range triggered {
+	var maximal []Candidate
+	for _, c := range triggered {
 		dominated := false
 		for _, q := range triggered {
-			if q != r && s.Higher(q.Name, r.Name) {
+			if q.Ordinal != c.Ordinal && set.Higher(name(q), name(c)) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			maximal = append(maximal, r)
+			maximal = append(maximal, c)
 		}
+	}
+	if len(maximal) == 0 {
+		return -1
 	}
 	if s.Choose != nil {
 		names := make([]string, len(maximal))
-		for i, r := range maximal {
-			names[i] = r.Name
+		for i, c := range maximal {
+			names[i] = name(c)
 		}
 		sort.Strings(names)
 		picked := s.Choose(names)
-		for _, r := range maximal {
-			if r.Name == picked {
-				return r
+		for _, c := range maximal {
+			if name(c) == picked {
+				return c.Ordinal
 			}
 		}
-		for _, r := range maximal {
-			if r.Name == names[0] {
-				return r
-			}
-		}
+		i, _ := set.Ordinal(names[0])
+		return i
 	}
-	sort.Slice(maximal, func(i, j int) bool {
-		a, b := maximal[i], maximal[j]
+	first := func(a, b Candidate) bool {
 		switch s.Strategy {
 		case StrategyMostRecent:
 			if a.LastConsidered != b.LastConsidered {
@@ -188,7 +113,13 @@ func (s *Selector) Select(triggered []*Rule) *Rule {
 				return a.LastConsidered < b.LastConsidered
 			}
 		}
-		return a.Name < b.Name
-	})
-	return maximal[0]
+		return name(a) < name(b)
+	}
+	best := maximal[0]
+	for _, c := range maximal[1:] {
+		if first(c, best) {
+			best = c
+		}
+	}
+	return best.Ordinal
 }

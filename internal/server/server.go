@@ -530,7 +530,6 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 
 	case wire.MsgStats:
 		s.statsReqs.Add(1)
-		es := s.db.Stats()
 		var rs *wire.ReplStats
 		if r, ok := s.db.(ReplStatser); ok {
 			rs = r.ReplStats()
@@ -538,24 +537,8 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 			rs = s.cfg.Repl.Stats()
 		}
 		return s.write(c, wire.MsgStatsResult, wire.StatsResponse{
-			Repl: rs,
-			Engine: wire.EngineStats{
-				Committed:           es.Committed,
-				RolledBack:          es.RolledBack,
-				ExternalTransitions: es.ExternalTransitions,
-				RuleConsiderations:  es.RuleConsiderations,
-				RuleFirings:         es.RuleFirings,
-				IndexLookups:        es.IndexLookups,
-				HeapScans:           es.HeapScans,
-				WALAppends:          es.WALAppends,
-				WALBytes:            es.WALBytes,
-				RecoveredRecords:    es.RecoveredRecords,
-				Checkpoints:         es.Checkpoints,
-				GroupCommits:        es.GroupCommits,
-				GroupedTxns:         es.GroupedTxns,
-				PlannedQueries:      es.PlannedQueries,
-				PlanProbeFallbacks:  es.PlanProbeFallbacks,
-			},
+			Repl:   rs,
+			Engine: wire.EngineStats(s.db.Stats()),
 			Server: s.Stats(),
 		})
 

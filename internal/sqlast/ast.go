@@ -373,7 +373,9 @@ type RuleAction struct {
 // `CREATE RULE name [SCOPE SINCE ACTION|CONSIDERED|TRIGGERED] WHEN ...`.
 type RuleScope int
 
-// Rule scopes. ScopeDefault (= since action) is the paper's semantics.
+// Rule scopes. ScopeDefault (= since action) is the paper's semantics. The
+// values number the scopes as rules.TriggerScope does, so the engine
+// converts between the two directly.
 const (
 	ScopeDefault RuleScope = iota
 	ScopeSinceConsidered
@@ -417,6 +419,14 @@ type SetRuleActive struct {
 	Active bool
 }
 
+// AlterRule is `ALTER RULE name SCOPE SINCE ACTION|CONSIDERED|TRIGGERED`:
+// it changes a defined rule's triggering scope (footnote 8), reusing
+// CreateRule's scope clause. Here ScopeDefault means SINCE ACTION.
+type AlterRule struct {
+	Name  string
+	Scope RuleScope
+}
+
 // ProcessRules is the Section 5.3 "rule triggering point" statement: the
 // current externally-generated transition is considered complete, rules are
 // processed, and a new transition begins — within the same transaction.
@@ -426,4 +436,5 @@ func (*CreateRule) stmtNode()         {}
 func (*CreateRulePriority) stmtNode() {}
 func (*DropRule) stmtNode()           {}
 func (*SetRuleActive) stmtNode()      {}
+func (*AlterRule) stmtNode()          {}
 func (*ProcessRules) stmtNode()       {}

@@ -379,11 +379,8 @@ func (s *CreateRule) String() string {
 	var b strings.Builder
 	b.WriteString("CREATE RULE ")
 	b.WriteString(s.Name)
-	switch s.Scope {
-	case ScopeSinceConsidered:
-		b.WriteString(" SCOPE SINCE CONSIDERED")
-	case ScopeSinceTriggered:
-		b.WriteString(" SCOPE SINCE TRIGGERED")
+	if s.Scope != ScopeDefault {
+		b.WriteString(" " + s.Scope.String())
 	}
 	b.WriteString(" WHEN ")
 	for i, p := range s.Preds {
@@ -426,6 +423,20 @@ func (s *SetRuleActive) String() string {
 		return "ACTIVATE RULE " + s.Name
 	}
 	return "DEACTIVATE RULE " + s.Name
+}
+
+func (s *AlterRule) String() string { return "ALTER RULE " + s.Name + " " + s.Scope.String() }
+
+// String renders the scope clause; ScopeDefault is SINCE ACTION.
+func (s RuleScope) String() string {
+	switch s {
+	case ScopeSinceConsidered:
+		return "SCOPE SINCE CONSIDERED"
+	case ScopeSinceTriggered:
+		return "SCOPE SINCE TRIGGERED"
+	default:
+		return "SCOPE SINCE ACTION"
+	}
 }
 
 func (s *ProcessRules) String() string { return "PROCESS RULES" }

@@ -134,6 +134,12 @@ func TestStatementPrinting(t *testing.T) {
 	if got := (&SetRuleActive{Name: "r"}).String(); got != "DEACTIVATE RULE r" {
 		t.Errorf("deactivate: %q", got)
 	}
+	if got := (&AlterRule{Name: "r"}).String(); got != "ALTER RULE r SCOPE SINCE ACTION" {
+		t.Errorf("alter rule: %q", got)
+	}
+	if got := (&AlterRule{Name: "r", Scope: ScopeSinceTriggered}).String(); got != "ALTER RULE r SCOPE SINCE TRIGGERED" {
+		t.Errorf("alter rule: %q", got)
+	}
 	if got := (&ProcessRules{}).String(); got != "PROCESS RULES" {
 		t.Errorf("process rules: %q", got)
 	}

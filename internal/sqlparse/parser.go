@@ -174,6 +174,23 @@ func (p *parser) parseStatement() (sqlast.Statement, error) {
 		default:
 			return nil, p.errorf("EXPLAIN supports SELECT, INSERT, DELETE and UPDATE only")
 		}
+	case "alter":
+		p.pos++
+		if err := p.expectKw("rule"); err != nil {
+			return nil, err
+		}
+		name, err := p.expectIdent("rule name")
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectKw("scope"); err != nil {
+			return nil, err
+		}
+		scope, err := p.parseScopeSince()
+		if err != nil {
+			return nil, err
+		}
+		return &sqlast.AlterRule{Name: name, Scope: scope}, nil
 	case "activate", "deactivate":
 		p.pos++
 		if err := p.expectKw("rule"); err != nil {
@@ -710,6 +727,28 @@ func (p *parser) parseTableRef() (*sqlast.TableRef, error) {
 // CREATE RULE
 // ---------------------------------------------------------------------------
 
+// parseScopeSince parses `SINCE ACTION|CONSIDERED|TRIGGERED`, the rest of
+// a scope clause after SCOPE.
+func (p *parser) parseScopeSince() (sqlast.RuleScope, error) {
+	if err := p.expectKw("since"); err != nil {
+		return 0, err
+	}
+	t := p.peek()
+	var scope sqlast.RuleScope
+	switch {
+	case isKw(t, "action"):
+		scope = sqlast.ScopeDefault
+	case isKw(t, "considered"):
+		scope = sqlast.ScopeSinceConsidered
+	case isKw(t, "triggered"):
+		scope = sqlast.ScopeSinceTriggered
+	default:
+		return 0, p.errorf("expected ACTION, CONSIDERED or TRIGGERED, found %s", t)
+	}
+	p.pos++
+	return scope, nil
+}
+
 func (p *parser) parseCreateRule() (sqlast.Statement, error) {
 	name, err := p.expectIdent("rule name")
 	if err != nil {
@@ -719,21 +758,9 @@ func (p *parser) parseCreateRule() (sqlast.Statement, error) {
 	// Optional `SCOPE SINCE ACTION|CONSIDERED|TRIGGERED` (footnote 8
 	// extension).
 	if p.acceptKw("scope") {
-		if err := p.expectKw("since"); err != nil {
+		if rule.Scope, err = p.parseScopeSince(); err != nil {
 			return nil, err
 		}
-		t := p.peek()
-		switch {
-		case isKw(t, "action"):
-			rule.Scope = sqlast.ScopeDefault
-		case isKw(t, "considered"):
-			rule.Scope = sqlast.ScopeSinceConsidered
-		case isKw(t, "triggered"):
-			rule.Scope = sqlast.ScopeSinceTriggered
-		default:
-			return nil, p.errorf("expected ACTION, CONSIDERED or TRIGGERED, found %s", t)
-		}
-		p.pos++
 	}
 	if err := p.expectKw("when"); err != nil {
 		return nil, err

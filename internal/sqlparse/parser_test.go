@@ -407,6 +407,37 @@ func TestParseRuleScope(t *testing.T) {
 	}
 }
 
+// TestParseAlterRuleScope: ALTER RULE reuses CREATE RULE's scope clause,
+// and every form prints back to text that parses to the same statement
+// (the WAL logs and replays definitions as text).
+func TestParseAlterRuleScope(t *testing.T) {
+	for src, want := range map[string]sqlast.RuleScope{
+		`alter rule r scope since action`:     sqlast.ScopeDefault,
+		`alter rule r scope since considered`: sqlast.ScopeSinceConsidered,
+		`ALTER RULE r SCOPE SINCE TRIGGERED`:  sqlast.ScopeSinceTriggered,
+	} {
+		a, ok := parse1(t, src).(*sqlast.AlterRule)
+		if !ok || a.Name != "r" || a.Scope != want {
+			t.Errorf("%s: parsed %+v", src, a)
+			continue
+		}
+		again := parse1(t, a.String()).(*sqlast.AlterRule)
+		if *again != *a {
+			t.Errorf("%s: round trip %q gave %+v", src, a.String(), again)
+		}
+	}
+	for _, bad := range []string{
+		`alter rule r`,
+		`alter rule r scope considered`,
+		`alter rule r scope since never`,
+		`alter table r scope since action`,
+	} {
+		if _, err := ParseStatement(bad); err == nil {
+			t.Errorf("%s: accepted", bad)
+		}
+	}
+}
+
 func TestParseRollbackAndCallActions(t *testing.T) {
 	r := parse1(t, `create rule guard when updated t.a then rollback`).(*sqlast.CreateRule)
 	if !r.Action.Rollback {

@@ -160,7 +160,8 @@ type DumpResponse struct {
 	Script string `json:"script"`
 }
 
-// EngineStats mirrors sopr.Stats across the wire.
+// EngineStats mirrors sopr.Stats across the wire; the two structs keep
+// the same fields in the same order, so each converts to the other.
 type EngineStats struct {
 	Committed           int64 `json:"committed"`
 	RolledBack          int64 `json:"rolled_back"`

@@ -501,13 +501,11 @@ type Stats struct {
 	RecoveredRecords    int64 // log records replayed during crash recovery
 	Checkpoints         int64 // checkpoints written
 	// Group-commit counters (durable fsync=always path): GroupCommits is
-	// the number of leader fsyncs issued from the commit queue,
-	// GroupedTxns the number of committers those fsyncs acknowledged, and
-	// TxnsPerSync their ratio — the fsync amortization factor (1.0 means
-	// every committer synced alone; >1 means fsyncs were shared).
+	// the number of leader fsyncs issued from the commit queue and
+	// GroupedTxns the number of committers those fsyncs acknowledged (see
+	// TxnsPerSync).
 	GroupCommits int64
 	GroupedTxns  int64
-	TxnsPerSync  float64
 	// Planner counters: query blocks executed through the cost-based join
 	// planner, and planned index probes that fell back to a heap scan at
 	// lookup time (the 2^53 integer-keyspace fallback).
@@ -515,31 +513,18 @@ type Stats struct {
 	PlanProbeFallbacks int64
 }
 
-// Stats returns a snapshot of the database's cumulative counters.
-func (db *DB) Stats() Stats {
-	s := db.eng.Stats()
-	out := Stats{
-		Committed:           s.Committed,
-		RolledBack:          s.RolledBack,
-		ExternalTransitions: s.ExternalTransitions,
-		RuleConsiderations:  s.RuleConsiderations,
-		RuleFirings:         s.RuleFirings,
-		IndexLookups:        s.IndexLookups,
-		HeapScans:           s.HeapScans,
-		WALAppends:          s.WALAppends,
-		WALBytes:            s.WALBytes,
-		RecoveredRecords:    s.RecoveredRecords,
-		Checkpoints:         s.Checkpoints,
-		GroupCommits:        s.WALGroupCommits,
-		GroupedTxns:         s.WALGroupedTxns,
-		PlannedQueries:      s.PlannedQueries,
-		PlanProbeFallbacks:  s.PlanProbeFallbacks,
+// TxnsPerSync is GroupedTxns/GroupCommits, the fsync amortization factor
+// (1.0 means every committer synced alone; >1 means fsyncs were shared; 0
+// before any group commit).
+func (s Stats) TxnsPerSync() float64 {
+	if s.GroupCommits == 0 {
+		return 0
 	}
-	if out.GroupCommits > 0 {
-		out.TxnsPerSync = float64(out.GroupedTxns) / float64(out.GroupCommits)
-	}
-	return out
+	return float64(s.GroupedTxns) / float64(s.GroupCommits)
 }
+
+// Stats returns a snapshot of the database's cumulative counters.
+func (db *DB) Stats() Stats { return Stats(db.eng.Stats()) }
 
 // Rules returns the defined rule names in definition order.
 func (db *DB) Rules() []string { return db.eng.Rules() }
