@@ -360,6 +360,36 @@ func TestSelectTriggerCondition(t *testing.T) {
 	}
 }
 
+// TestSelectedTableUnderSubqueryMemo — a closed subquery is evaluated once
+// per statement as shipped and once per outer row under Naive; the
+// `selected` transition table it contributes to (Section 5.1) is the same
+// either way, because recording a selected tuple twice is recording it
+// once.
+func TestSelectedTableUnderSubqueryMemo(t *testing.T) {
+	run := func(naive bool) string {
+		e := newEmpEngine(t, Config{EnableSelectTriggers: true, Naive: naive})
+		mustExec(t, e, `create table seen (name varchar)`)
+		mustExec(t, e, `
+			create rule snoop when selected emp
+			then insert into seen (select name from selected emp)
+			end
+		`)
+		mustExec(t, e, `insert into emp values ('ceo', 1, 500000, 0), ('vp', 2, 200000, 1), ('ic', 3, 90000, 2);
+			insert into dept values (0, 1), (1, 2), (2, 3), (3, 9)`)
+		res := mustExec(t, e, `
+			select dept_no from dept where mgr_no in (select emp_no from emp where salary > 100000);
+			update dept set mgr_no = mgr_no where dept_no in (select dept_no from emp where salary < 100000)`)
+		out := fmt.Sprint(res.Firings, names(t, e, `select name from seen order by name`))
+		for _, q := range res.Queries {
+			out += "\n" + q.String()
+		}
+		return out
+	}
+	if got, want := run(false), run(true); got != want {
+		t.Errorf("selected table diverges from Naive:\n%s\nnaive:\n%s", got, want)
+	}
+}
+
 // TestProcessRulesAlone — a bare triggering point is a no-op transaction.
 func TestProcessRulesAlone(t *testing.T) {
 	e := newEmpEngine(t, Config{})

@@ -22,6 +22,9 @@ package exec
 // EXPLAIN alike.
 
 import (
+	"slices"
+	"strings"
+
 	"sopr/internal/catalog"
 	"sopr/internal/sqlast"
 	"sopr/internal/storage"
@@ -148,11 +151,12 @@ func (e *Env) findIndexProbe(where sqlast.Expr, target int, infos []fromBinding,
 		if e.selectMayReferToBlock(x.Sub, infos, nil) {
 			return nil
 		}
-		res, err := e.evalSelect(x.Sub, parent)
+		res, err := e.subquery(x.Sub, parent)
 		if err != nil || len(res.Columns) != 1 {
 			// The scan path reports any genuine error per row; declining
 			// reproduces its behavior exactly (including the no-rows case
-			// where the error never surfaces).
+			// where the error never surfaces). A closed subquery's result
+			// or error is memoized, so the residual WHERE reuses it.
 			return nil
 		}
 		vals := make([]value.Value, len(res.Rows))
@@ -237,76 +241,37 @@ func (e *Env) probeValue(rhs sqlast.Expr, infos []fromBinding, parent *scope) (v
 // reference that would resolve to one of the current block's FROM
 // bindings. shadows holds the FROM bindings of enclosing subqueries
 // between x and the block; a reference they bind never escapes to the
-// block (resolution is innermost-out, as in scope.lookup). Unknown
-// constructs report true (decline).
+// block (resolution is innermost-out, as in scope.lookup). A nil block
+// asks whether x is closed instead: every reference the shadows do not
+// bind counts, and so does an aggregate that binds to an enclosing
+// block's group (see aggregateEscapes).
 func (e *Env) mayReferToBlock(x sqlast.Expr, block []fromBinding, shadows [][]fromBinding) bool {
-	switch v := x.(type) {
-	case nil:
-		return false
-	case *sqlast.Literal:
-		return false
-	case *sqlast.ColumnRef:
-		for _, level := range shadows {
-			if refResolvesIn(v, level) {
-				return false
+	return exprAny(x, func(x sqlast.Expr) bool {
+		if sub := subqueryOf(x); sub != nil {
+			return e.selectMayReferToBlock(sub, block, shadows)
+		}
+		switch v := x.(type) {
+		case *sqlast.ColumnRef:
+			for _, level := range shadows {
+				if refResolvesIn(v, level) {
+					return false
+				}
 			}
-		}
-		return refResolvesIn(v, block)
-	case *sqlast.Binary:
-		return e.mayReferToBlock(v.L, block, shadows) || e.mayReferToBlock(v.R, block, shadows)
-	case *sqlast.Unary:
-		return e.mayReferToBlock(v.X, block, shadows)
-	case *sqlast.IsNull:
-		return e.mayReferToBlock(v.X, block, shadows)
-	case *sqlast.InList:
-		if e.mayReferToBlock(v.X, block, shadows) {
-			return true
-		}
-		for _, item := range v.List {
-			if e.mayReferToBlock(item, block, shadows) {
-				return true
-			}
+			return block == nil || refResolvesIn(v, block)
+		case *sqlast.FuncCall:
+			// An aggregate nested in an aggregate's argument binds outward.
+			return block == nil && aggregateNames[strings.ToLower(v.Name)] && slices.ContainsFunc(v.Args, exprHasAggregate)
 		}
 		return false
-	case *sqlast.InSelect:
-		return e.mayReferToBlock(v.X, block, shadows) || e.selectMayReferToBlock(v.Sub, block, shadows)
-	case *sqlast.Exists:
-		return e.selectMayReferToBlock(v.Sub, block, shadows)
-	case *sqlast.ScalarSub:
-		return e.selectMayReferToBlock(v.Sub, block, shadows)
-	case *sqlast.SubCompare:
-		return e.mayReferToBlock(v.X, block, shadows) || e.selectMayReferToBlock(v.Sub, block, shadows)
-	case *sqlast.Between:
-		return e.mayReferToBlock(v.X, block, shadows) ||
-			e.mayReferToBlock(v.Lo, block, shadows) ||
-			e.mayReferToBlock(v.Hi, block, shadows)
-	case *sqlast.Like:
-		return e.mayReferToBlock(v.X, block, shadows) || e.mayReferToBlock(v.Pattern, block, shadows)
-	case *sqlast.FuncCall:
-		for _, a := range v.Args {
-			if e.mayReferToBlock(a, block, shadows) {
-				return true
-			}
-		}
-		return false
-	case *sqlast.Case:
-		if e.mayReferToBlock(v.Operand, block, shadows) || e.mayReferToBlock(v.Else, block, shadows) {
-			return true
-		}
-		for _, w := range v.Whens {
-			if e.mayReferToBlock(w.Cond, block, shadows) || e.mayReferToBlock(w.Result, block, shadows) {
-				return true
-			}
-		}
-		return false
-	default:
-		return true
-	}
+	})
 }
 
 // selectMayReferToBlock extends mayReferToBlock into a subquery: the
 // subquery's own FROM list shadows the block for every expression inside
-// it. An unresolvable FROM table reports true (decline).
+// it except LIMIT, which limitCount evaluates in the enclosing scope. An
+// ORDER BY item naming a select-list alias reads the output row
+// (orderKeys) and refers to nothing. An unresolvable FROM table reports
+// true (decline).
 func (e *Env) selectMayReferToBlock(sel *sqlast.Select, block []fromBinding, shadows [][]fromBinding) bool {
 	level := e.planBindings(sel.From)
 	for _, fb := range level {
@@ -314,26 +279,42 @@ func (e *Env) selectMayReferToBlock(sel *sqlast.Select, block []fromBinding, sha
 			return true
 		}
 	}
-	inner := append([][]fromBinding{level}, shadows...)
-	for _, it := range sel.Items {
-		if !it.Star && e.mayReferToBlock(it.Expr, block, inner) {
-			return true
-		}
-	}
-	if e.mayReferToBlock(sel.Where, block, inner) || e.mayReferToBlock(sel.Having, block, inner) {
+	if block == nil && aggregateEscapes(sel) || e.mayReferToBlock(sel.Limit, block, shadows) {
 		return true
 	}
-	for _, g := range sel.GroupBy {
-		if e.mayReferToBlock(g, block, inner) {
+	inner := append([][]fromBinding{level}, shadows...)
+	refers := func(x sqlast.Expr) bool { return e.mayReferToBlock(x, block, inner) }
+	for _, it := range sel.Items {
+		if !it.Star && refers(it.Expr) {
 			return true
 		}
 	}
 	for _, ob := range sel.OrderBy {
-		if e.mayReferToBlock(ob.Expr, block, inner) {
+		if !namesAlias(sel, ob.Expr) && refers(ob.Expr) {
 			return true
 		}
 	}
-	return false
+	return refers(sel.Where) || refers(sel.Having) || slices.ContainsFunc(sel.GroupBy, refers)
+}
+
+// namesAlias reports whether x is an unqualified reference to one of sel's
+// select-list aliases.
+func namesAlias(sel *sqlast.Select, x sqlast.Expr) bool {
+	cr, ok := x.(*sqlast.ColumnRef)
+	return ok && cr.Qualifier == "" && slices.ContainsFunc(sel.Items, func(it sqlast.SelectItem) bool { return it.Alias == cr.Column })
+}
+
+// aggregateEscapes reports whether an aggregate call in sel's own clauses
+// binds to an enclosing block's group, as evalAggregate searches outward
+// from a scope without one: in WHERE, GROUP BY or LIMIT, or in the ORDER
+// BY of a block that does not aggregate.
+func aggregateEscapes(sel *sqlast.Select) bool {
+	if exprHasAggregate(sel.Where) || exprHasAggregate(sel.Limit) || slices.ContainsFunc(sel.GroupBy, exprHasAggregate) {
+		return true
+	}
+	return !selectAggregates(sel) && slices.ContainsFunc(sel.OrderBy, func(ob sqlast.OrderItem) bool {
+		return exprHasAggregate(ob.Expr)
+	})
 }
 
 // refResolvesIn reports whether the reference resolves against any
@@ -355,52 +336,22 @@ func refResolvesIn(cr *sqlast.ColumnRef, level []fromBinding) bool {
 
 // exprUsesSelect reports whether the expression embeds any subquery.
 func exprUsesSelect(x sqlast.Expr) bool {
+	return exprAny(x, func(x sqlast.Expr) bool { return subqueryOf(x) != nil })
+}
+
+// subqueryOf returns the select a subquery expression embeds, or nil.
+func subqueryOf(x sqlast.Expr) *sqlast.Select {
 	switch v := x.(type) {
-	case *sqlast.InSelect, *sqlast.Exists, *sqlast.ScalarSub, *sqlast.SubCompare:
-		return true
-	case *sqlast.Binary:
-		return exprUsesSelect(v.L) || exprUsesSelect(v.R)
-	case *sqlast.Unary:
-		return exprUsesSelect(v.X)
-	case *sqlast.IsNull:
-		return exprUsesSelect(v.X)
-	case *sqlast.InList:
-		if exprUsesSelect(v.X) {
-			return true
-		}
-		for _, item := range v.List {
-			if exprUsesSelect(item) {
-				return true
-			}
-		}
-		return false
-	case *sqlast.Between:
-		return exprUsesSelect(v.X) || exprUsesSelect(v.Lo) || exprUsesSelect(v.Hi)
-	case *sqlast.Like:
-		return exprUsesSelect(v.X) || exprUsesSelect(v.Pattern)
-	case *sqlast.FuncCall:
-		for _, a := range v.Args {
-			if exprUsesSelect(a) {
-				return true
-			}
-		}
-		return false
-	case *sqlast.Case:
-		if v.Operand != nil && exprUsesSelect(v.Operand) {
-			return true
-		}
-		if v.Else != nil && exprUsesSelect(v.Else) {
-			return true
-		}
-		for _, w := range v.Whens {
-			if exprUsesSelect(w.Cond) || exprUsesSelect(w.Result) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
+	case *sqlast.InSelect:
+		return v.Sub
+	case *sqlast.Exists:
+		return v.Sub
+	case *sqlast.ScalarSub:
+		return v.Sub
+	case *sqlast.SubCompare:
+		return v.Sub
 	}
+	return nil
 }
 
 // indexedMatches serves matchTuples' predicate scan through an index when

@@ -39,6 +39,7 @@ type OpResult struct {
 // affected set. Errors leave any partial changes in place; the caller (the
 // engine) rolls back the enclosing transaction.
 func (e *Env) ExecOp(stmt sqlast.Statement) (*OpResult, error) {
+	clear(e.memo)
 	switch s := stmt.(type) {
 	case *sqlast.Insert:
 		return e.execInsert(s)

@@ -72,9 +72,12 @@ var (
 // snapshot), the optional transition-table source (inside rule
 // conditions/actions), and the optional select observer.
 //
-// An Env is per-evaluation scratch state: every query gets a fresh one,
-// and evaluation keeps all intermediate state (scopes, materialized
-// relations, hash-join tables, aggregate groups) local to the call. That
+// An Env is per-evaluation scratch state, used by one goroutine at a time.
+// Evaluation keeps its intermediate state (scopes, materialized relations,
+// hash-join tables, aggregate groups) local to the call; the one thing an
+// Env keeps across calls is the statement's subquery memo (see subquery),
+// which every public entry point — Query, ExecOp, EvalPredicate, Explain —
+// clears first, so nothing outlives the statement that computed it. That
 // discipline is load-bearing for concurrency — the lock-free read path
 // (sopr.SynchronizedDB) runs many Envs over published snapshots at once,
 // so nothing here may write to the Store or to any package-level state.
@@ -93,6 +96,46 @@ type Env struct {
 	// Counters, when non-nil, receives planner telemetry (shared across
 	// the engine's Envs; all fields are atomics).
 	Counters *PlanCounters
+
+	memo map[*sqlast.Select]memoEntry // this statement's subqueries; created on first use
+}
+
+// memoEntry is what the statement knows about one subquery: whether it is
+// closed and, if so, its one evaluation's outcome.
+type memoEntry struct {
+	closed bool
+	res    *Result
+	err    error
+}
+
+// subquery evaluates the embedded select sub in scope sc. A closed
+// subquery — every column reference in it resolves inside it, decided by
+// the free-variable walk of access.go — is evaluated at most once per
+// statement and its result or error reused; a correlated one is evaluated
+// on every call. This is sound because a statement evaluates against one
+// state: DML evaluates all its predicates and assignments before modifying
+// anything, transition tables are fixed while an action statement runs,
+// and select observation (Section 5.1) is idempotent. The memo is filled
+// on first use, so a subquery whose outer relation is empty is never
+// evaluated, and it is off under Naive, the reference configuration.
+func (e *Env) subquery(sub *sqlast.Select, sc *scope) (*Result, error) {
+	if e.Naive {
+		return e.evalSelect(sub, sc)
+	}
+	m, ok := e.memo[sub]
+	if !ok {
+		if m.closed = !e.selectMayReferToBlock(sub, nil, nil); m.closed {
+			m.res, m.err = e.evalSelect(sub, sc)
+		}
+		if e.memo == nil {
+			e.memo = make(map[*sqlast.Select]memoEntry)
+		}
+		e.memo[sub] = m
+	}
+	if !m.closed {
+		return e.evalSelect(sub, sc)
+	}
+	return m.res, m.err
 }
 
 // boundRow is one variable binding in a scope: the relation's binding name,

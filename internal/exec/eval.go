@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"sopr/internal/sqlast"
@@ -132,7 +133,7 @@ func (e *Env) evalExpr(sc *scope, expr sqlast.Expr) (value.Value, error) {
 		if err != nil {
 			return value.Null, err
 		}
-		res, err := e.evalSelect(x.Sub, sc)
+		res, err := e.subquery(x.Sub, sc)
 		if err != nil {
 			return value.Null, err
 		}
@@ -166,14 +167,14 @@ func (e *Env) evalExpr(sc *scope, expr sqlast.Expr) (value.Value, error) {
 		return triboolValue(t), nil
 
 	case *sqlast.Exists:
-		res, err := e.evalSelect(x.Sub, sc)
+		res, err := e.subquery(x.Sub, sc)
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewBool((len(res.Rows) > 0) != x.Negate), nil
 
 	case *sqlast.ScalarSub:
-		res, err := e.evalSelect(x.Sub, sc)
+		res, err := e.subquery(x.Sub, sc)
 		if err != nil {
 			return value.Null, err
 		}
@@ -194,7 +195,7 @@ func (e *Env) evalExpr(sc *scope, expr sqlast.Expr) (value.Value, error) {
 		if err != nil {
 			return value.Null, err
 		}
-		res, err := e.evalSelect(x.Sub, sc)
+		res, err := e.subquery(x.Sub, sc)
 		if err != nil {
 			return value.Null, err
 		}
@@ -608,56 +609,46 @@ func (e *Env) evalCase(sc *scope, x *sqlast.Case) (value.Value, error) {
 // exprHasAggregate reports whether the expression contains an aggregate
 // call not nested inside a subquery (subqueries get their own contexts).
 func exprHasAggregate(expr sqlast.Expr) bool {
-	switch x := expr.(type) {
-	case nil:
-		return false
-	case *sqlast.Literal, *sqlast.ColumnRef, *sqlast.Exists, *sqlast.ScalarSub:
-		return false
-	case *sqlast.Unary:
-		return exprHasAggregate(x.X)
-	case *sqlast.Binary:
-		return exprHasAggregate(x.L) || exprHasAggregate(x.R)
-	case *sqlast.IsNull:
-		return exprHasAggregate(x.X)
-	case *sqlast.Between:
-		return exprHasAggregate(x.X) || exprHasAggregate(x.Lo) || exprHasAggregate(x.Hi)
-	case *sqlast.Like:
-		return exprHasAggregate(x.X) || exprHasAggregate(x.Pattern)
-	case *sqlast.InList:
-		if exprHasAggregate(x.X) {
-			return true
-		}
-		for _, el := range x.List {
-			if exprHasAggregate(el) {
-				return true
-			}
-		}
-		return false
-	case *sqlast.InSelect:
-		return exprHasAggregate(x.X)
-	case *sqlast.SubCompare:
-		return exprHasAggregate(x.X)
-	case *sqlast.FuncCall:
-		if aggregateNames[strings.ToLower(x.Name)] {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-		return false
-	case *sqlast.Case:
-		if exprHasAggregate(x.Operand) || exprHasAggregate(x.Else) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if exprHasAggregate(w.Cond) || exprHasAggregate(w.Result) {
-				return true
-			}
-		}
-		return false
-	default:
+	return exprAny(expr, func(x sqlast.Expr) bool {
+		f, ok := x.(*sqlast.FuncCall)
+		return ok && aggregateNames[strings.ToLower(f.Name)]
+	})
+}
+
+// exprAny reports whether pred holds for x or for any expression inside
+// it. It does not descend into subqueries, which are blocks of their own:
+// pred sees the subquery expression and decides for it.
+func exprAny(x sqlast.Expr, pred func(sqlast.Expr) bool) bool {
+	if x == nil {
 		return false
 	}
+	if pred(x) {
+		return true
+	}
+	some := func(xs ...sqlast.Expr) bool {
+		return slices.ContainsFunc(xs, func(y sqlast.Expr) bool { return exprAny(y, pred) })
+	}
+	switch v := x.(type) {
+	case *sqlast.Unary:
+		return some(v.X)
+	case *sqlast.IsNull:
+		return some(v.X)
+	case *sqlast.InSelect:
+		return some(v.X)
+	case *sqlast.SubCompare:
+		return some(v.X)
+	case *sqlast.Binary:
+		return some(v.L, v.R)
+	case *sqlast.Between:
+		return some(v.X, v.Lo, v.Hi)
+	case *sqlast.Like:
+		return some(v.X, v.Pattern)
+	case *sqlast.InList:
+		return some(v.X) || some(v.List...)
+	case *sqlast.FuncCall:
+		return some(v.Args...)
+	case *sqlast.Case:
+		return some(v.Operand, v.Else) || slices.ContainsFunc(v.Whens, func(w sqlast.When) bool { return some(w.Cond, w.Result) })
+	}
+	return false
 }

@@ -18,6 +18,7 @@ import (
 
 // Explain renders the chosen plan for a SELECT or DML statement.
 func (e *Env) Explain(stmt sqlast.Statement) (*Result, error) {
+	clear(e.memo)
 	var lines []string
 	var err error
 	switch s := stmt.(type) {
@@ -87,16 +88,7 @@ func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
 	if sel.Distinct {
 		add(0, "distinct")
 	}
-	hasAgg := len(sel.GroupBy) > 0 || sel.Having != nil
-	if !hasAgg {
-		for _, it := range sel.Items {
-			if !it.Star && exprHasAggregate(it.Expr) {
-				hasAgg = true
-				break
-			}
-		}
-	}
-	if hasAgg {
+	if selectAggregates(sel) {
 		if len(sel.GroupBy) > 0 {
 			parts := make([]string, len(sel.GroupBy))
 			for i, g := range sel.GroupBy {

@@ -10,6 +10,7 @@ import (
 // environment's TransTableSource, to the rule's transition tables. A nil
 // expression is IF TRUE. Unknown (NULL) is not true.
 func (e *Env) EvalPredicate(expr sqlast.Expr) (bool, error) {
+	clear(e.memo)
 	if expr == nil {
 		return true, nil
 	}

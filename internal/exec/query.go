@@ -65,6 +65,7 @@ func (r *Result) String() string {
 
 // Query evaluates a top-level SELECT statement.
 func (e *Env) Query(sel *sqlast.Select) (*Result, error) {
+	clear(e.memo)
 	return e.evalSelect(sel, nil)
 }
 
@@ -106,16 +107,6 @@ func (e *Env) evalSelect(sel *sqlast.Select, parent *scope) (*Result, error) {
 		return nil, err
 	}
 
-	hasAgg := len(sel.GroupBy) > 0 || sel.Having != nil
-	if !hasAgg {
-		for _, c := range cols {
-			if exprHasAggregate(c.expr) {
-				hasAgg = true
-				break
-			}
-		}
-	}
-
 	// The evaluation scope for this block.
 	sc := &scope{parent: parent, vars: make([]*boundRow, len(rels))}
 	for i, rel := range rels {
@@ -123,7 +114,7 @@ func (e *Env) evalSelect(sel *sqlast.Select, parent *scope) (*Result, error) {
 	}
 
 	var out []sortedRow
-	if hasAgg {
+	if selectAggregates(sel) {
 		out, err = e.evalAggregateQuery(sel, sc, rels, cols)
 	} else {
 		out, err = e.evalPlainQuery(sel, sc, rels, cols)
@@ -156,6 +147,20 @@ func (e *Env) evalSelect(sel *sqlast.Select, parent *scope) (*Result, error) {
 		res.Rows[i] = sr.row
 	}
 	return res, nil
+}
+
+// selectAggregates reports whether sel is an aggregate query: it groups,
+// has HAVING, or aggregates in its select list.
+func selectAggregates(sel *sqlast.Select) bool {
+	if len(sel.GroupBy) > 0 || sel.Having != nil {
+		return true
+	}
+	for _, it := range sel.Items {
+		if !it.Star && exprHasAggregate(it.Expr) {
+			return true
+		}
+	}
+	return false
 }
 
 // planColumns expands the projection list into concrete output columns.
