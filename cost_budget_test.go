@@ -8,35 +8,36 @@ import (
 	"sopr"
 )
 
-// TestCascadeCostBudget pins the work of one operation of the benchmark's
-// rules-cascade workload (bench/workload.go): rebuild a 16-level
-// management chain, then delete its head so that Example 4.1's
-// mgr_cascade fires 17 times, beside 200 defined but never triggered
-// bystander rules. Heap scans are exact. The triggering delete scans emp
-// once. Each of the first 16 firings scans emp for the first action
-// statement, dept once for its closed IN-subquery (evaluated once per
-// statement, not once per emp row), and dept for the second statement.
-// The last firing finds emp empty, so its subquery never runs: two scans.
-// 1 + 16·3 + 2 = 51. The allocation budget leaves headroom over the
-// measured count; a change that re-evaluates the subquery per row blows
-// both pins.
-func TestCascadeCostBudget(t *testing.T) {
-	const depth, bystanders = 16, 200
-	db := sopr.Open()
-	db.MustExec(`create table emp (name varchar, emp_no int, salary float, dept_no int);
-		create table dept (dept_no int, mgr_no int);
-		create table idle (x int)`)
-	db.MustExec(`create rule mgr_cascade when deleted from emp
-		then delete from emp where dept_no in
-		     (select dept_no from dept where mgr_no in (select emp_no from deleted emp));
-		     delete from dept where mgr_no in (select emp_no from deleted emp)
-		end`)
+// cascadeSetup returns the definition scripts of the benchmark's
+// rules-cascade workload (bench/workload.go): Example 4.1's mgr_cascade
+// beside the given number of bystander rules, which watch a table the
+// workload never touches.
+func cascadeSetup(bystanders int) []string {
 	var b strings.Builder
 	for i := 0; i < bystanders; i++ {
 		fmt.Fprintf(&b, "create rule idle_%d when inserted into idle then delete from idle where x = %d end;\n", i, i)
 	}
-	db.MustExec(b.String())
+	return []string{
+		`create table emp (name varchar, emp_no int, salary float, dept_no int);
+		 create table dept (dept_no int, mgr_no int);
+		 create table idle (x int)`,
+		`create rule mgr_cascade when deleted from emp
+		 then delete from emp where dept_no in
+		      (select dept_no from dept where mgr_no in (select emp_no from deleted emp));
+		      delete from dept where mgr_no in (select emp_no from deleted emp)
+		 end`,
+		b.String(),
+	}
+}
 
+// cascadeOp defines the rules-cascade schema and returns one operation of
+// the workload: rebuild a 16-level management chain, then delete its head
+// so that mgr_cascade fires 17 times.
+func cascadeOp(t *testing.T, db *sopr.DB, bystanders int) func() {
+	const depth = 16
+	for _, src := range cascadeSetup(bystanders) {
+		db.MustExec(src)
+	}
 	// Department d is managed by m<d> and holds the next level's manager
 	// and one more employee.
 	var emps, depts strings.Builder
@@ -50,20 +51,149 @@ func TestCascadeCostBudget(t *testing.T) {
 		fmt.Fprintf(&emps, ", ('m%d', %d, 60000, %d), ('e%d', %d, 30000, %d)", d+1, d+1, d, d, 1000+d, d)
 	}
 	rebuild := emps.String() + "; " + depts.String()
-	op := func() {
+	return func() {
 		db.MustExec(rebuild)
 		if res := db.MustExec(`delete from emp where emp_no = 1`); len(res.Firings) != depth+1 {
 			t.Fatalf("cascade fired %d times, want %d", len(res.Firings), depth+1)
 		}
 	}
+}
 
-	op() // the first operation also sizes the tables' storage
-	before := db.Stats().HeapScans
-	op()
-	if got := db.Stats().HeapScans - before; got != 51 {
-		t.Errorf("heap scans per cascade operation = %d, want 51", got)
+// TestCascadeCostBudget pins the work of one rules-cascade operation
+// (cascadeOp) beside 0 and beside 200 bystander rules. Both runs must cost
+// exactly the same heap scans and rule visits.
+//
+// Heap scans: the triggering delete scans emp once. Each of the first 16
+// firings scans emp for the first action statement, dept once for its
+// closed IN-subquery (evaluated once per statement, not once per emp row),
+// and dept for the second statement. The last firing finds emp empty, so
+// its subquery never runs: two scans. 1 + 16·3 + 2 = 51.
+//
+// Rule visits: only mgr_cascade watches emp or dept; the bystanders watch
+// idle, which the operation never touches. The rebuild composes into
+// mgr_cascade's trans-info and tests its trigger: 2. The delete does the
+// same: 2. Each of the 17 firings re-initializes mgr_cascade's trans-info
+// and then tests it again: 17·2. 2 + 2 + 34 = 38.
+//
+// The allocation budget leaves headroom over the measured count (about
+// 2,810 either way); visiting every bystander on every transition, or
+// re-evaluating the subquery per row, blows the pins.
+func TestCascadeCostBudget(t *testing.T) {
+	for _, bystanders := range []int{0, 200} {
+		t.Run(fmt.Sprintf("bystanders=%d", bystanders), func(t *testing.T) {
+			db := sopr.Open()
+			op := cascadeOp(t, db, bystanders)
+			op() // the first operation also sizes the tables' storage
+			before := db.Stats()
+			op()
+			after := db.Stats()
+			if got := after.HeapScans - before.HeapScans; got != 51 {
+				t.Errorf("heap scans per cascade operation = %d, want 51", got)
+			}
+			if got := after.RuleVisits - before.RuleVisits; got != 38 {
+				t.Errorf("rule visits per cascade operation = %d, want 38", got)
+			}
+			allocs := testing.AllocsPerRun(5, op)
+			t.Logf("allocations = %.0f", allocs)
+			if allocs > 3300 {
+				t.Errorf("allocations per cascade operation = %.0f, budget 3300", allocs)
+			}
+		})
 	}
-	if allocs := testing.AllocsPerRun(5, op); allocs > 6000 {
-		t.Errorf("allocations per cascade operation = %.0f, budget 6000", allocs)
+}
+
+// acctDB returns a database loaded like the benchmark's acct workloads
+// (bench/workload.go): the acct and branch tables, an index on acct.id and
+// the roll rule, which counts every balance update into its branch.
+func acctDB(accounts int) *sopr.DB {
+	const branches = 50
+	db := sopr.Open()
+	db.MustExec(`create table acct (id int, branch int, bal int);
+		create table branch (b int, region int, total int);
+		create index acct_id on acct (id)`)
+	db.MustExec(`create rule roll when updated acct.bal
+		then update branch set total = total + 1
+		     where b in (select branch from new updated acct.bal)
+		end`)
+	var b strings.Builder
+	b.WriteString("insert into branch values ")
+	for i := 0; i < branches; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %d, 0)", i, i%5)
+	}
+	db.MustExec(b.String())
+	b.Reset()
+	b.WriteString("insert into acct values ")
+	for id := 0; id < accounts; id++ {
+		if id > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %d, %d)", id, id%branches, 1000+id%100)
+	}
+	db.MustExec(b.String())
+	return db
+}
+
+// TestCostBudgets pins the allocations of the benchmark's other scenarios
+// at the counts measured before Figure 1's rule index existed, plus at most
+// 5 % (update/100: 280, update/10000: 10,270, batch64/1000: 4,738,
+// cascade-setup: 4,200). None of the operations runs beside more than one
+// rule, so the index has nothing to skip in them: a change that raises a
+// pin made the common path dearer. A change that claims a gain lowers its
+// pin.
+func TestCostBudgets(t *testing.T) {
+	next := 0
+	update := func(db *sopr.DB, accounts int) func() {
+		return func() {
+			next = (next + 37) % accounts
+			if res := db.MustExec(fmt.Sprintf("update acct set bal = bal + 3 where id = %d", next)); len(res.Firings) != 1 {
+				t.Fatalf("roll fired %d times, want 1", len(res.Firings))
+			}
+		}
+	}
+	batch := func(db *sopr.DB, accounts int) func() {
+		stmts := make([]string, 64)
+		return func() {
+			for i := range stmts {
+				next = (next + 37) % accounts
+				stmts[i] = fmt.Sprintf("update acct set bal = bal + 3 where id = %d", next)
+			}
+			if res, err := db.ExecBatch(stmts); err != nil || len(res.Firings) != 1 {
+				t.Fatalf("batch: %v", err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		op     func() func()
+		budget float64
+	}{
+		// A one-row update and its roll firing (oltp-small, oltp-large).
+		{"update/100", func() func() { return update(acctDB(100), 100) }, 294},
+		{"update/10000", func() func() { return update(acctDB(10000), 10000) }, 10783},
+		// 64 updates as one ExecBatch block, one roll firing (batch-set).
+		{"batch64/1000", func() func() { return batch(acctDB(1000), 1000) }, 4974},
+		// rules-cascade's set-up: three tables and 201 rules, whose DDL
+		// must not pay for Figure 1's rule index.
+		{"cascade-setup", func() func() {
+			return func() {
+				db := sopr.Open()
+				for _, src := range cascadeSetup(200) {
+					db.MustExec(src)
+				}
+			}
+		}, 4410},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			op := c.op()
+			op()
+			allocs := testing.AllocsPerRun(5, op)
+			t.Logf("allocations = %.0f", allocs)
+			if allocs > c.budget {
+				t.Errorf("allocations = %.0f, budget %.0f", allocs, c.budget)
+			}
+		})
 	}
 }

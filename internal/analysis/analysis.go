@@ -180,13 +180,8 @@ func ruleReads(d RuleDef) map[string]bool {
 		sqlast.StmtTableRefs(op, collect)
 		// The targets of action DML are also "read" (their predicates
 		// filter the table's rows).
-		switch s := op.(type) {
-		case *sqlast.Insert:
-			tables[s.Table] = true
-		case *sqlast.Delete:
-			tables[s.Table] = true
-		case *sqlast.Update:
-			tables[s.Table] = true
+		if t := sqlast.StmtTarget(op); t != "" {
+			tables[t] = true
 		}
 	}
 	return tables

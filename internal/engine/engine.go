@@ -178,6 +178,11 @@ type Engine struct {
 	cfg      Config
 	seq      int64
 	stats    Stats
+	// touched lists the rules with non-nil trans-info; transition stamps
+	// each transition applyToAll composes; tables is its scratch space.
+	touched    []int
+	transition int64
+	tables     []string
 	// wal, when attached, receives every committed transaction's net
 	// effect and every definition statement (see durability.go). walEff
 	// accumulates the current transaction's composed effect for the log.
@@ -201,11 +206,17 @@ type Engine struct {
 // runState is one rule's state in the rule-processing run of Figure 1.
 type runState struct {
 	// trans is the rule's composite transition information
-	// (init-trans-info / modify-trans-info), reset once per transaction.
+	// (init-trans-info / modify-trans-info), reset once per transaction;
+	// nil means empty.
 	trans *rules.Effect
 	// lastConsidered is the sequence number stamped when the rule was
 	// defined or last chosen for consideration (recency tie-breaks).
 	lastConsidered int64
+	// composed stamps the last transition composed into trans (a rule
+	// watching two of its tables composes it once); rejected, the one
+	// after which the condition was found false (Section 4.2: the rule is
+	// reconsidered only after a new transition).
+	composed, rejected int64
 }
 
 // New returns an engine with an empty database.
@@ -482,6 +493,12 @@ func (e *Engine) applyDefinition(st sqlast.Statement) error {
 		}
 		return e.store.CreateTable(tab)
 	case *sqlast.DropTable:
+		// RESTRICT: a rule naming a dropped table breaks or changes meaning.
+		for i := 0; i < e.rules.Len(); i++ {
+			if r := e.rules.Rule(i); r.Names(s.Name) {
+				return fmt.Errorf("engine: cannot drop table %q: rule %q names it", s.Name, r.Name)
+			}
+		}
 		return e.store.DropTable(s.Name)
 	case *sqlast.CreateIndex:
 		return e.store.CreateIndex(s.Name, s.Table, s.Column)
@@ -507,9 +524,9 @@ func (e *Engine) applyDefinition(st sqlast.Statement) error {
 }
 
 // install makes set the engine's rule set after a successful rule DDL
-// (passing err through otherwise). Run state follows each rule by name, so
-// a rule keeps its recency stamp across other rules' DDL; a new rule is
-// stamped now.
+// (passing err through otherwise). A rule keeps its recency stamp across
+// other rules' DDL (followed by name); a new rule is stamped now. The last
+// transaction's trans-info is dropped with the old ordinals.
 func (e *Engine) install(set *rules.Set, err error) error {
 	if err != nil {
 		return err
@@ -517,13 +534,13 @@ func (e *Engine) install(set *rules.Set, err error) error {
 	run := make([]runState, set.Len())
 	for i := range run {
 		if j, ok := e.rules.Ordinal(set.Rule(i).Name); ok {
-			run[i] = e.run[j]
+			run[i].lastConsidered = e.run[j].lastConsidered
 		} else {
 			e.seq++
 			run[i].lastConsidered = e.seq
 		}
 	}
-	e.rules, e.run = set, run
+	e.rules, e.run, e.touched = set, run, e.touched[:0]
 	return nil
 }
 
@@ -602,9 +619,12 @@ func (e *Engine) RunTransaction(ops []sqlast.Statement) (*TxnResult, error) {
 		return res, err
 	}
 
+	for _, i := range e.touched { // a new Figure 1 run starts empty
+		e.run[i].trans = nil
+	}
+	e.touched = e.touched[:0]
 	// Split the block at PROCESS RULES triggering points (Section 5.3).
 	segments := splitAtTriggeringPoints(ops)
-	first := true
 	transitions := 0
 	var deadline time.Time
 	if e.cfg.RuleTimeout > 0 {
@@ -620,27 +640,15 @@ func (e *Engine) RunTransaction(ops []sqlast.Statement) (*TxnResult, error) {
 		if e.walEff != nil {
 			e.walEff.Apply(blockEff)
 		}
-		if first {
-			// init-trans-info for every rule, restricted to the tables the
-			// rule can reference. This resets the previous transaction's
-			// state.
-			for i := range e.run {
-				e.run[i].trans = blockEff.CloneFiltered(e.rules.Rule(i).Keep)
-			}
-			first = false
-		} else {
-			// Later external segments compose like rule transitions.
-			e.applyToAll(-1, blockEff)
-		}
+		// External segments compose like rule transitions; composing into
+		// empty trans-info is the first segment's init-trans-info.
+		e.applyToAll(-1, blockEff)
 		done, err := e.processRules(res, &transitions, deadline)
 		if err != nil {
 			return fail(err)
 		}
-		if done { // rolled back by a rule
-			e.walEff = nil
-			e.stats.RolledBack++
-			e.publish()
-			return res, nil
+		if done { // a rollback action fired
+			return fail(nil)
 		}
 	}
 
@@ -713,17 +721,11 @@ func (e *Engine) execExternalSegment(ops []sqlast.Statement, res *TxnResult) (*r
 
 // processRules is the rule-processing loop of Figure 1 (select-eligible-rule
 // plus action execution), run at a triggering point or before commit. It
-// returns done=true if a rollback action fired (the store has been rolled
-// back and the result updated).
+// returns done=true if a rollback action fired (the result records it; the
+// caller rolls the store back).
 func (e *Engine) processRules(res *TxnResult, transitions *int, deadline time.Time) (done bool, err error) {
-	// consideredFalse holds rules whose condition failed against their
-	// current transition information; they are reconsidered only after a
-	// new transition occurs (Section 4.2: a rule whose condition was found
-	// false "may be reconsidered in S2 as long as it is still triggered by
-	// the composite effect").
-	consideredFalse := make([]bool, len(e.run))
 	for {
-		i, err := e.selectTriggeredRule(consideredFalse)
+		i, err := e.selectTriggeredRule()
 		if err != nil {
 			return false, err
 		}
@@ -749,15 +751,12 @@ func (e *Engine) processRules(res *TxnResult, transitions *int, deadline time.Ti
 			st.trans = rules.NewEffect()
 		}
 		if !condHeld {
-			consideredFalse[i] = true
+			st.rejected = e.transition
 			continue
 		}
 
 		if r.Action.Rollback {
 			e.trace(TraceEvent{Kind: TraceRollback, Rule: r.Name}, nil)
-			if err := e.store.Rollback(); err != nil {
-				return false, err
-			}
 			res.RolledBack = true
 			res.RollbackRule = r.Name
 			return true, nil
@@ -784,26 +783,26 @@ func (e *Engine) processRules(res *TxnResult, transitions *int, deadline time.Ti
 		// Figure 1: the executing rule gets fresh transition information
 		// (init-trans-info); every other rule composes (modify-trans-info).
 		st.trans = actEff.CloneFiltered(r.Keep)
+		e.stats.RuleVisits++
 		e.applyToAll(i, actEff)
 		if e.walEff != nil {
 			e.walEff.Apply(actEff)
 		}
-
-		// A new transition occurred: previously false conditions may now
-		// hold (or rules may be newly triggered) — reconsider everything.
-		clear(consideredFalse)
 	}
 }
 
-// selectTriggeredRule returns the ordinal of a triggered, active,
-// not-yet-rejected rule chosen by the selector, or -1.
-func (e *Engine) selectTriggeredRule(consideredFalse []bool) (int, error) {
+// selectTriggeredRule returns the ordinal of a triggered, not-yet-rejected
+// rule chosen by the selector, or -1. Only touched rules, all active, can
+// be triggered; the selector does not depend on candidate order.
+func (e *Engine) selectTriggeredRule() (int, error) {
 	var triggered []rules.Candidate
 	cat := e.store.Catalog()
-	for i, st := range e.run {
-		if !e.rules.Rule(i).Active || consideredFalse[i] {
+	for _, i := range e.touched {
+		st := &e.run[i]
+		if st.rejected == e.transition {
 			continue
 		}
+		e.stats.RuleVisits++
 		ok, err := rules.EffectSatisfies(st.trans, e.rules.Rule(i).Preds, cat)
 		if err != nil {
 			return -1, err
@@ -856,23 +855,33 @@ func (e *Engine) execRuleAction(r *rules.Rule, trans *rules.Effect) (*rules.Effe
 	return eff, delivered, nil
 }
 
-// applyToAll folds a new transition's effect into every rule's transition
-// information except that of the rule with ordinal exclude, which
-// generated it (-1 for none). The footnote 8 since-triggered scope restarts
-// a rule's window at any transition that by itself satisfies the rule's
-// predicate.
+// applyToAll folds a new transition's effect into the trans-info of every
+// rule it can alter (Set.Watchers of its tables) except exclude, the rule
+// that generated it (-1 for none); composing into empty is the clone. The
+// footnote 8 since-triggered scope restarts a rule's window at any
+// transition that by itself satisfies the rule's predicate.
 func (e *Engine) applyToAll(exclude int, eff *rules.Effect) {
-	for i := range e.run {
-		if i == exclude {
-			continue
-		}
-		r, st := e.rules.Rule(i), &e.run[i]
-		if r.Scope == rules.ScopeSinceTriggered {
-			if ok, _ := rules.EffectSatisfies(eff, r.Preds, e.store.Catalog()); ok {
-				st.trans = eff.CloneFiltered(r.Keep)
+	e.transition++
+	e.tables = eff.Tables(e.tables[:0])
+	for _, table := range e.tables {
+		for _, i := range e.rules.Watchers(table) {
+			r, st := e.rules.Rule(i), &e.run[i]
+			if i == exclude || st.composed == e.transition {
 				continue
 			}
+			st.composed = e.transition
+			e.stats.RuleVisits++
+			restart := st.trans == nil
+			if restart {
+				e.touched = append(e.touched, i)
+			} else if r.Scope == rules.ScopeSinceTriggered {
+				restart, _ = rules.EffectSatisfies(eff, r.Preds, e.store.Catalog())
+			}
+			if restart {
+				st.trans = eff.CloneFiltered(r.Keep)
+			} else {
+				st.trans.ApplyFiltered(eff, r.Keep)
+			}
 		}
-		st.trans.ApplyFiltered(eff, r.Keep)
 	}
 }

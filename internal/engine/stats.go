@@ -11,9 +11,11 @@ type Stats struct {
 	// (PROCESS RULES triggering points split one transaction into several).
 	ExternalTransitions int64
 	// RuleConsiderations counts condition evaluations; RuleFirings counts
-	// action executions (rule-generated transitions).
+	// action executions (rule-generated transitions). RuleVisits counts
+	// rule trans-info initializations, compositions and triggering tests.
 	RuleConsiderations int64
 	RuleFirings        int64
+	RuleVisits         int64
 	// Access-path counters from the storage layer: selections served from
 	// a secondary hash index (CREATE INDEX) vs. full heap table scans.
 	IndexLookups int64

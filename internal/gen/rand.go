@@ -33,9 +33,9 @@ type genctx struct {
 	w   *Workload
 }
 
-func (g *genctx) intn(n int) int      { return g.rng.Intn(n) }
-func (g *genctx) pct(p int) bool      { return g.rng.Intn(100) < p }
-func (g *genctx) pick(n int) int      { return g.rng.Intn(n) }
+func (g *genctx) intn(n int) int       { return g.rng.Intn(n) }
+func (g *genctx) pct(p int) bool       { return g.rng.Intn(100) < p }
+func (g *genctx) pick(n int) int       { return g.rng.Intn(n) }
 func (g *genctx) between(a, b int) int { return a + g.rng.Intn(b-a+1) }
 
 var colKinds = []string{"int", "int", "float", "varchar", "boolean"}

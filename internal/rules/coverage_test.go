@@ -2,11 +2,13 @@ package rules
 
 // Tests exercising branches that the main test files do not reach:
 // SetEffect helpers, Apply with selections, validation walks over every
-// expression form, and selector edge listing.
+// expression form, selector edge listing, and the rule set's table index.
 
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"sopr/internal/storage"
@@ -334,5 +336,43 @@ func TestValidateRuleWalksEveryExprForm(t *testing.T) {
 		then delete from emp end`
 	if err := ValidateRule(parseRule(t, src), cat); err == nil {
 		t.Error("select-list reference not caught")
+	}
+}
+
+// TestSetWatchers: the table → rules index lists each active rule under
+// its predicate tables and the nil-PredTables rules under every table, and
+// leaves inactive rules out. Its lazy first build is safe from several
+// goroutines at once.
+func TestSetWatchers(t *testing.T) {
+	s := &Set{}
+	for _, r := range []*Rule{
+		{Name: "t_only", Active: true, PredTables: map[string]bool{"t": true}},
+		{Name: "t_and_u", Active: true, PredTables: map[string]bool{"t": true, "u": true}},
+		{Name: "all", Active: true},
+		{Name: "off", PredTables: map[string]bool{"t": true}},
+	} {
+		var err error
+		if s, err = s.Define(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Watchers("t")
+		}()
+	}
+	wg.Wait()
+	for table, want := range map[string][]int{"t": {0, 1, 2}, "u": {1, 2}, "v": {2}} {
+		got := slices.Clone(s.Watchers(table))
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("Watchers(%q) = %v, want %v", table, got, want)
+		}
+	}
+	if got := (&Set{}).Watchers("t"); len(got) != 0 {
+		t.Errorf("empty set: Watchers = %v", got)
 	}
 }

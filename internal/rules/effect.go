@@ -17,6 +17,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sopr/internal/exec"
@@ -212,6 +213,28 @@ func NewEffect() *Effect {
 // do trigger rules but still represent no change to the database).
 func (e *Effect) IsEmpty() bool {
 	return len(e.Ins) == 0 && len(e.Del) == 0 && len(e.Upd) == 0 && len(e.Sel) == 0
+}
+
+// Tables appends the distinct tables the effect touches to dst.
+func (e *Effect) Tables(dst []string) []string {
+	add := func(t string) {
+		if !slices.Contains(dst, t) {
+			dst = append(dst, t)
+		}
+	}
+	for _, t := range e.Ins {
+		add(t)
+	}
+	for _, d := range e.Del {
+		add(d.Table)
+	}
+	for _, u := range e.Upd {
+		add(u.Table)
+	}
+	for _, t := range e.Sel {
+		add(t)
+	}
+	return dst
 }
 
 // keepAll retains every table (unfiltered clone/apply).

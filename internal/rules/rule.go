@@ -68,6 +68,22 @@ func (r *Rule) Keep(table string) bool {
 	return r.PredTables == nil || r.PredTables[table]
 }
 
+// Names reports whether the rule names table in a predicate, its condition
+// or an action operation (target or FROM list). Procedure bodies are opaque.
+func (r *Rule) Names(table string) bool {
+	found := false
+	ref := func(tr *sqlast.TableRef) { found = found || tr.Table == table }
+	for _, p := range r.Preds {
+		found = found || p.Table == table
+	}
+	sqlast.ExprTableRefs(r.Condition, ref)
+	for _, op := range r.Action.Block {
+		sqlast.StmtTableRefs(op, ref)
+		found = found || sqlast.StmtTarget(op) == table
+	}
+	return found
+}
+
 // EffectSatisfies reports whether the effect satisfies any of the basic
 // transition predicates — the triggering test of Section 3 when the effect
 // is a rule's composite transition information. The catalog maps predicate

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Set is one immutable rule set: the rules in definition order, a name →
@@ -16,6 +17,12 @@ type Set struct {
 	rules []*Rule
 	index map[string]int
 	edges [][2]string // declared pairs [before, after], sorted, distinct
+
+	// watch and watchAll are Watchers' index, built on its first use so
+	// that rule DDL does not pay for it.
+	watchOnce sync.Once
+	watch     map[string][]int
+	watchAll  []int
 }
 
 // Len returns the number of rules.
@@ -42,6 +49,35 @@ func (s *Set) Names() []string {
 // Edges returns the declared priority pairs [before, after], sorted. The
 // slice is shared: callers must not modify it.
 func (s *Set) Edges() [][2]string { return s.edges }
+
+// Watchers returns the ordinals of the active rules whose transition
+// information a change to table can alter: those with a predicate on table
+// (Section 3 confines a rule to its predicates' tables) and those with nil
+// PredTables. Inactive rules need none: ACTIVATE happens only between
+// transactions. The slice is shared: callers must not modify it.
+func (s *Set) Watchers(table string) []int {
+	s.watchOnce.Do(func() {
+		s.watch = make(map[string][]int)
+		for i, r := range s.rules {
+			switch {
+			case !r.Active:
+			case r.PredTables == nil:
+				s.watchAll = append(s.watchAll, i)
+			default:
+				for t := range r.PredTables {
+					s.watch[t] = append(s.watch[t], i)
+				}
+			}
+		}
+		for t, w := range s.watch {
+			s.watch[t] = append(w, s.watchAll...)
+		}
+	})
+	if w, ok := s.watch[table]; ok {
+		return w
+	}
+	return s.watchAll
+}
 
 func (s *Set) ordinal(name string) (int, error) {
 	if i, ok := s.index[name]; ok {

@@ -67,6 +67,19 @@ func selectTableRefs(sel *Select, fn func(*TableRef)) {
 	}
 }
 
+// StmtTarget returns the table an INSERT, DELETE or UPDATE writes, or "".
+func StmtTarget(st Statement) string {
+	switch s := st.(type) {
+	case *Insert:
+		return s.Table
+	case *Delete:
+		return s.Table
+	case *Update:
+		return s.Table
+	}
+	return ""
+}
+
 // StmtTableRefs calls fn for every table reference in a data manipulation
 // statement or SELECT (a rule action operation), including those of nested
 // subqueries, in source order. Other statements have none.

@@ -168,6 +168,7 @@ type EngineStats struct {
 	ExternalTransitions int64 `json:"external_transitions"`
 	RuleConsiderations  int64 `json:"rule_considerations"`
 	RuleFirings         int64 `json:"rule_firings"`
+	RuleVisits          int64 `json:"rule_visits"`
 	IndexLookups        int64 `json:"index_lookups"`
 	HeapScans           int64 `json:"heap_scans"`
 	WALAppends          int64 `json:"wal_appends"`

@@ -494,6 +494,7 @@ type Stats struct {
 	ExternalTransitions int64 // externally-generated transitions executed
 	RuleConsiderations  int64 // rule condition evaluations
 	RuleFirings         int64 // rule action executions
+	RuleVisits          int64 // rule trans-info initializations, compositions and triggering tests
 	IndexLookups        int64 // selections served from a secondary index
 	HeapScans           int64 // full heap table scans
 	WALAppends          int64 // records appended to the write-ahead log
