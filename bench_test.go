@@ -26,7 +26,6 @@ import (
 
 	"sopr"
 	"sopr/internal/catalog"
-	"sopr/internal/engine"
 	"sopr/internal/exec"
 	"sopr/internal/instance"
 	"sopr/internal/rules"
@@ -438,48 +437,6 @@ func BenchmarkJoinAblation(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// B10 — ablation: per-rule trans-info filtering (Figure 1's "subset
-// relevant to the particular rule")
-// ---------------------------------------------------------------------------
-
-func benchTransInfoFiltering(b *testing.B, full bool, spectators, k int) {
-	eng := engine.New(engine.Config{FullTransInfo: full})
-	exec1 := func(src string) {
-		if _, err := eng.Exec(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-	exec1(`create table t (id int, v int); create table sink (id int)`)
-	// Spectator rules watch tables the workload never touches; without
-	// filtering, every transition is cloned/applied into each of them.
-	for i := 0; i < spectators; i++ {
-		exec1(fmt.Sprintf(`create table w%04d (x int)`, i))
-		exec1(fmt.Sprintf(`create rule spect%04d when inserted into w%04d then delete from w%04d end`, i, i, i))
-	}
-	// One real rule cascades a few times to force repeated modify-trans-info.
-	exec1(`create rule chase when inserted into t
-		then insert into sink (select id from inserted t where id % 2 = 0)
-		end`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec1(insertScript(i*k, k))
-	}
-}
-
-func BenchmarkTransInfoFiltering(b *testing.B) {
-	for _, spectators := range []int{10, 100} {
-		for _, k := range []int{64, 512} {
-			b.Run(fmt.Sprintf("filtered/rules=%d/batch=%d", spectators, k), func(b *testing.B) {
-				benchTransInfoFiltering(b, false, spectators, k)
-			})
-			b.Run(fmt.Sprintf("full/rules=%d/batch=%d", spectators, k), func(b *testing.B) {
-				benchTransInfoFiltering(b, true, spectators, k)
 			})
 		}
 	}

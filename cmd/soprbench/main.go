@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -34,37 +35,52 @@ import (
 	"sopr/internal/value"
 )
 
+// experiments maps each -exp name, in upper case, to the function that runs it.
+var experiments = map[string]func(){
+	"E1": e1, "E5": e5, "B1": b1, "B2": b2, "B3": b3, "B4": b4,
+	"B5": b5, "B6": b6, "B7": b7, "B8": b8, "B9": b9,
+	"B12": b12, "B13": b13, "B13B": b13b, "B14": b14, "S1": s1, "S1B": s1b,
+	"S2": s2, "S3": s3, "S4": s4, "S5": s5, "F1": f1,
+}
+
+// experimentNames returns the experiment names, sorted.
+func experimentNames() []string {
+	names := make([]string, 0, len(experiments))
+	for k := range experiments {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: E1, E5, B1..B14, B13b, S1..S5, S1b, F1, or all")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames(), ", ")+" or all")
 	flag.IntVar(&s2TotalOps, "s2ops", 2000, "total read operations per S2 table cell")
 	flag.IntVar(&s3TotalOps, "s3ops", 2000, "total read operations per S3 table row")
 	flag.IntVar(&s4TotalOps, "s4ops", 2000, "total read operations per S4 table row")
 	flag.IntVar(&s5Txns, "s5txns", 300, "committed transactions per S5 table row")
 	flag.Parse()
-	runs := map[string]func(){
-		"E1": e1, "E5": e5, "B1": b1, "B2": b2, "B3": b3, "B4": b4,
-		"B5": b5, "B6": b6, "B7": b7, "B8": b8, "B9": b9, "B10": b10,
-		"B12": b12, "B13": b13, "B13B": b13b, "B14": b14, "S1": s1, "S1B": s1b,
-		"S2": s2, "S3": s3, "S4": s4, "S5": s5, "F1": f1,
-	}
-	if *exp != "all" {
-		fn, ok := runs[strings.ToUpper(*exp)]
-		if !ok {
-			fmt.Println("unknown experiment; use E1, B1..B14, B13b, S1..S5, S1b, F1 or all")
-			return
+	os.Exit(run(*exp, os.Stderr))
+}
+
+// run runs the named experiment (any case), or every one in name order for
+// "all", and returns the exit status: 2, with a message on stderr, for an
+// unknown name.
+func run(exp string, stderr io.Writer) int {
+	if exp == "all" {
+		for _, k := range experimentNames() {
+			experiments[k]()
+			fmt.Println()
 		}
-		fn()
-		return
+		return 0
 	}
-	var keys []string
-	for k := range runs {
-		keys = append(keys, k)
+	fn, ok := experiments[strings.ToUpper(exp)]
+	if !ok {
+		fmt.Fprintf(stderr, "soprbench: unknown experiment %q; use %s or all\n", exp, strings.Join(experimentNames(), ", "))
+		return 2
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		runs[k]()
-		fmt.Println()
-	}
+	fn()
+	return 0
 }
 
 // benchSink receives each measured computation's result so the compiler
@@ -462,40 +478,6 @@ func b9() {
 		fmt.Printf("%-8d %14.2f %14.2f %10.1f\n", n,
 			float64(planned.Microseconds())/1000, float64(naive.Microseconds())/1000,
 			float64(naive)/float64(planned))
-	}
-}
-
-// ---------------------------------------------------------------------------
-
-func b10() {
-	header("B10", "ablation: per-rule trans-info filtering (Fig. 1 note)")
-	fmt.Printf("%-24s %14s %12s %8s\n", "rules x batch", "filtered ms", "full ms", "speedup")
-	for _, spectators := range []int{10, 100, 400} {
-		for _, k := range []int{64, 512} {
-			run := func(full bool) time.Duration {
-				eng := engine.New(engine.Config{FullTransInfo: full})
-				exec1 := func(s string) {
-					_, err := eng.Exec(s)
-					must(err)
-				}
-				exec1(`create table t (id int, v int); create table sink (id int)`)
-				for i := 0; i < spectators; i++ {
-					exec1(fmt.Sprintf(`create table w%04d (x int)`, i))
-					exec1(fmt.Sprintf(`create rule spect%04d when inserted into w%04d then delete from w%04d end`, i, i, i))
-				}
-				exec1(`create rule chase when inserted into t
-					then insert into sink (select id from inserted t where id % 2 = 0)
-					end`)
-				base := 0
-				return timeIt(5, func() { exec1(insertScript(base, k)); base += k })
-			}
-			filtered := run(false)
-			full := run(true)
-			fmt.Printf("%-24s %14.2f %12.2f %8.1f\n",
-				fmt.Sprintf("%d rules, %d rows", spectators, k),
-				float64(filtered.Microseconds())/1000, float64(full.Microseconds())/1000,
-				float64(full)/float64(filtered))
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -103,5 +104,39 @@ func TestOpStreamShape(t *testing.T) {
 	}
 	if ins == 0 || del == 0 || upd == 0 {
 		t.Errorf("op mix degenerate: ins=%d del=%d upd=%d", ins, del, upd)
+	}
+}
+
+// TestUnknownExperiment: an unknown -exp name exits with status 2 and
+// names every experiment there is, and only those.
+func TestUnknownExperiment(t *testing.T) {
+	for _, exp := range []string{"NOPE", "B10", "B11", ""} {
+		var stderr bytes.Buffer
+		out := capture(t, func() {
+			if code := run(exp, &stderr); code != 2 {
+				t.Errorf("-exp %q: exit status %d, want 2", exp, code)
+			}
+		})
+		if out != "" {
+			t.Errorf("-exp %q printed %q on stdout", exp, out)
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, strings.Join(experimentNames(), ", ")) {
+			t.Errorf("-exp %q: message %q does not list the experiments", exp, msg)
+		}
+	}
+	names := experimentNames()
+	for _, want := range []string{"E1", "E5", "B13B", "S1B", "F1"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("experiment %s missing from %v", want, names)
+		}
+	}
+	for _, gone := range []string{"B10", "B11"} {
+		if slices.Contains(names, gone) {
+			t.Errorf("experiment %s listed in %v", gone, names)
+		}
+	}
+	if !slices.IsSorted(names) {
+		t.Errorf("names not sorted: %v", names)
 	}
 }

@@ -388,8 +388,8 @@ meta-commands (remote session):
 }
 
 func printEngineStats(s sopr.Stats) {
-	fmt.Printf("committed=%d rolled_back=%d external_transitions=%d rule_considerations=%d rule_firings=%d index_lookups=%d heap_scans=%d\n",
-		s.Committed, s.RolledBack, s.ExternalTransitions, s.RuleConsiderations, s.RuleFirings, s.IndexLookups, s.HeapScans)
+	fmt.Printf("committed=%d rolled_back=%d external_transitions=%d rule_considerations=%d rule_firings=%d rule_visits=%d index_lookups=%d heap_scans=%d\n",
+		s.Committed, s.RolledBack, s.ExternalTransitions, s.RuleConsiderations, s.RuleFirings, s.RuleVisits, s.IndexLookups, s.HeapScans)
 	fmt.Printf("wal: appends=%d bytes=%d recovered_records=%d checkpoints=%d\n",
 		s.WALAppends, s.WALBytes, s.RecoveredRecords, s.Checkpoints)
 	if s.GroupCommits > 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -180,6 +181,13 @@ func TestConnectModeRun(t *testing.T) {
 	if !strings.Contains(out, "committed=") || !strings.Contains(out, "server:") {
 		t.Errorf(".stats: %q", out)
 	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if visits := fmt.Sprintf(" rule_visits=%d ", st.Engine.RuleVisits); st.Engine.RuleVisits == 0 || !strings.Contains(out, visits) {
+		t.Errorf(".stats: %q, want %q", out, visits)
+	}
 	out = capture(t, func() { metaRemote(c, ".dump") })
 	if !strings.Contains(out, "CREATE TABLE t") {
 		t.Errorf(".dump: %q", out)
@@ -200,6 +208,11 @@ func TestConnectModeRun(t *testing.T) {
 
 func TestMetaCommands(t *testing.T) {
 	db := shellDB(t)
+	db.MustExec(`insert into t values (1), (-2)`)
+	visits := db.Stats().RuleVisits
+	if visits == 0 {
+		t.Fatal("the firing visited no rule")
+	}
 	cases := []struct {
 		cmd  string
 		want string
@@ -207,7 +220,7 @@ func TestMetaCommands(t *testing.T) {
 		{".tables", "t"},
 		{".rules", "r"},
 		{".analyze", "no warnings"},
-		{".stats", "committed="},
+		{".stats", fmt.Sprintf(" rule_visits=%d ", visits)},
 		{".help", ".dump"},
 		{".nosuchcmd", ""}, // error on stderr, nothing on stdout
 	}

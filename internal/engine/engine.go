@@ -50,11 +50,6 @@ type Config struct {
 	// processing per transaction — the "run-time detection using a timeout
 	// mechanism" of footnote 7. Exceeding it rolls the transaction back.
 	RuleTimeout time.Duration
-	// FullTransInfo disables the per-rule filtering of transition
-	// information to the rule's predicate tables (Figure 1's "we need only
-	// save the subset ... relevant to the particular rule"). Used by the
-	// B10 ablation benchmark; semantics are identical either way.
-	FullTransInfo bool
 	// Naive turns every query optimization off for every evaluation the
 	// engine performs (queries, conditions, actions): heap scans and
 	// FROM-order nested loops — the engine-wide form of exec.Env.Naive.
@@ -569,12 +564,6 @@ func (e *Engine) newRule(cr *sqlast.CreateRule) (*rules.Rule, error) {
 	}
 	if cr.Scope == sqlast.ScopeDefault {
 		r.Scope = e.cfg.DefaultScope
-	}
-	if !e.cfg.FullTransInfo {
-		r.PredTables = make(map[string]bool, len(cr.Preds))
-		for _, p := range cr.Preds {
-			r.PredTables[p.Table] = true
-		}
 	}
 	return r, nil
 }

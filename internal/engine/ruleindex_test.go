@@ -2,200 +2,62 @@ package engine
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
-
-	"sopr/internal/rules"
 )
 
-// Tests of Figure 1's rule index (rules.Set.Watchers) and lazy trans-info.
-// Each scenario runs on two engines: one with the index, and a
-// FullTransInfo twin, whose rules keep every table and so are visited on
-// every transition (the index has nothing to skip). After every step the
-// two must agree on the result, the firings, the considered rules and
-// their outcomes, each rule's trans-info restricted to its own predicate
-// tables, and the dump.
+// Tests of Figure 1's rule index (rules.Set.Watchers) and lazy trans-info
+// across what a generated workload cannot express: rule DDL, ACTIVATE and
+// select triggers. Each pins the exact firings of every step and the final
+// log rows. The index scenarios that gen.Workload can express run against
+// the reference oracle in internal/oracle (the index_* targeted
+// workloads).
 
-const indexSchema = `
-	create table t (a int);
-	create table u (a int);
-	create table w (a int);
-	create table log (msg varchar)`
-
-type indexTwin struct {
-	idx, full *Engine
-	events    [2][]TraceEvent
+// indexStep is one transaction and the rules it must fire, in order.
+type indexStep struct {
+	src, fired string
 }
 
-func newIndexTwin(t *testing.T, cfg Config, setup string) *indexTwin {
+// runIndexSteps creates tables t, u, w and log(msg), runs setup, then each
+// step, and returns the log rows sorted.
+func runIndexSteps(t *testing.T, cfg Config, setup string, steps []indexStep) []string {
 	t.Helper()
-	tw := &indexTwin{}
-	for k, full := range []bool{false, true} {
-		c := cfg
-		c.FullTransInfo = full
-		e := New(c)
-		mustExec(t, e, indexSchema)
-		mustExec(t, e, setup)
-		e.SetTrace(func(ev TraceEvent) {
-			if ev.Kind == TraceRuleConsidered {
-				ev.Effect = "" // trans-info summaries differ in the twin
-			}
-			tw.events[k] = append(tw.events[k], ev)
-		})
-		if full {
-			tw.full = e
-		} else {
-			tw.idx = e
+	e := New(cfg)
+	mustExec(t, e, `create table t (a int); create table u (a int); create table w (a int); create table log (msg varchar)`)
+	mustExec(t, e, setup)
+	for _, s := range steps {
+		var fired []string
+		for _, f := range mustExec(t, e, s.src).Firings {
+			fired = append(fired, f.Rule)
+		}
+		if got := strings.Join(fired, ","); got != s.fired {
+			t.Fatalf("%s: fired [%s], want [%s]", s.src, got, s.fired)
 		}
 	}
-	return tw
-}
-
-// step executes src on both engines, compares them, and returns the
-// indexed engine's result and error.
-func (tw *indexTwin) step(t *testing.T, src string) (*TxnResult, error) {
-	t.Helper()
-	tw.events = [2][]TraceEvent{}
-	res, err := tw.idx.Exec(src)
-	fres, ferr := tw.full.Exec(src)
-	if fmt.Sprint(err) != fmt.Sprint(ferr) {
-		t.Fatalf("%s: error %v, FullTransInfo twin %v", src, err, ferr)
-	}
-	if !reflect.DeepEqual(res.Firings, fres.Firings) || res.RolledBack != fres.RolledBack {
-		t.Fatalf("%s: firings %v (rolled back %v), twin %v (%v)", src, res.Firings, res.RolledBack, fres.Firings, fres.RolledBack)
-	}
-	if !reflect.DeepEqual(tw.events[0], tw.events[1]) {
-		t.Fatalf("%s: trace\n%v\ntwin\n%v", src, tw.events[0], tw.events[1])
-	}
-	for i := 0; i < tw.idx.rules.Len(); i++ {
-		r := tw.idx.rules.Rule(i)
-		j, _ := tw.full.rules.Ordinal(r.Name)
-		if got, want := keptTrans(tw.idx, i, r), keptTrans(tw.full, j, r); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: rule %s trans-info %v, twin %v", src, r.Name, got, want)
-		}
-	}
-	if got, want := dumpString(t, tw.idx), dumpString(t, tw.full); got != want {
-		t.Fatalf("%s: dump\n%s\ntwin\n%s", src, got, want)
-	}
-	return res, err
-}
-
-// keptTrans returns rule ordinal i's trans-info restricted to r's
-// predicate tables; nil trans-info is empty.
-func keptTrans(e *Engine, i int, r *rules.Rule) *rules.Effect {
-	trans := e.run[i].trans
-	if trans == nil {
-		trans = rules.NewEffect()
-	}
-	return trans.CloneFiltered(r.Keep)
-}
-
-func (tw *indexTwin) mustStep(t *testing.T, src string) *TxnResult {
-	t.Helper()
-	res, err := tw.step(t, src)
-	if err != nil {
-		t.Fatalf("%s: %v", src, err)
-	}
-	return res
-}
-
-func (tw *indexTwin) logged(t *testing.T) []string {
-	t.Helper()
-	return names(t, tw.idx, `select msg from log order by msg`)
-}
-
-// TestRuleIndexComposesOncePerTransition: a rule watching t and u must
-// compose a transition touching both exactly once. Composing twice is not
-// idempotent — the insert-then-delete of a t tuple would turn into a
-// delete, and `seen` would log it.
-func TestRuleIndexComposesOncePerTransition(t *testing.T) {
-	tw := newIndexTwin(t, Config{}, `
-		create rule mover when inserted into t
-		then insert into u (select a from inserted t where a < 0);
-		     delete from t where a < 0
-		end;
-		create rule seen when inserted into t or deleted from t or inserted into u
-		if exists (select * from deleted t)
-		then insert into log values ('deleted t')
-		end;
-		create rule priority mover before seen`)
-	res := tw.mustStep(t, `insert into t values (-1), (2)`)
-	if len(res.Firings) != 1 || res.Firings[0].Rule != "mover" {
-		t.Fatalf("firings %v, want mover once", res.Firings)
-	}
-	if got := tw.logged(t); len(got) != 0 {
-		t.Fatalf("seen observed a deletion: %v", got)
-	}
-	// A real deletion of a pre-existing t tuple is seen.
-	tw.mustStep(t, `delete from t where a = 2`)
-	if got := tw.logged(t); len(got) != 1 {
-		t.Fatalf("log %v, want one deletion", got)
-	}
-}
-
-// TestRuleIndexScopes: the footnote 8 scopes restart a rule's window on
-// the rules the index visits exactly as on the twin.
-func TestRuleIndexScopes(t *testing.T) {
-	tw := newIndexTwin(t, Config{}, `
-		create rule feed when inserted into t
-		then insert into u (select a + 1 from inserted t where a < 3)
-		end;
-		create rule back when inserted into u
-		then insert into t (select a from inserted u)
-		end;
-		create rule trig scope since triggered when inserted into u
-		then insert into log (select 'trig' from inserted u)
-		end;
-		create rule cons scope since considered when inserted into t or inserted into w
-		if (select count(*) from inserted t) > 2
-		then insert into log values ('cons')
-		end;
-		create rule priority trig before back;
-		create rule priority cons before feed`)
-	tw.mustStep(t, `insert into t values (0); insert into w values (9)`)
-	tw.mustStep(t, `insert into t values (1), (2), (3)`)
-	if len(tw.logged(t)) == 0 {
-		t.Fatal("no scope rule fired")
-	}
-}
-
-// TestRuleIndexProcessRules: PROCESS RULES splits a block into external
-// transitions that compose into the touched rules like rule transitions.
-func TestRuleIndexProcessRules(t *testing.T) {
-	tw := newIndexTwin(t, Config{}, `
-		create rule both when inserted into t or deleted from u
-		then insert into log (select 'both' from inserted t)
-		end;
-		create rule onlyu when inserted into u
-		if (select count(*) from inserted u) > 1
-		then delete from u where a = 0
-		end`)
-	tw.mustStep(t, `insert into u values (0), (5)`)
-	tw.mustStep(t, `insert into t values (1); process rules; insert into u values (7), (8); process rules; delete from u where a = 5; insert into t values (2)`)
-	tw.mustStep(t, `process rules; process rules`)
+	return names(t, e, `select msg from log order by msg`)
 }
 
 // TestRuleIndexRuleDDL: rule DDL between transactions shifts ordinals and
 // rebuilds the index; no trans-info or rejection may leak into the next
 // transaction under a rule's new ordinal.
 func TestRuleIndexRuleDDL(t *testing.T) {
-	tw := newIndexTwin(t, Config{}, `
+	got := runIndexSteps(t, Config{}, `
 		create rule r1 when inserted into t then insert into log values ('r1') end;
 		create rule r2 when inserted into u if false then insert into log values ('r2') end;
 		create rule r3 when inserted into t or inserted into u
 		if exists (select * from inserted t)
 		then insert into log values ('r3')
-		end`)
-	tw.mustStep(t, `insert into t values (1); insert into u values (1)`)
-	tw.mustStep(t, `drop rule r1`)
-	// r3 is now ordinal 1: a u-only transaction must not see last
-	// transaction's t insertion.
-	tw.mustStep(t, `insert into u values (2)`)
-	tw.mustStep(t, `create rule r0 when inserted into u then insert into log values ('r0') end`)
-	tw.mustStep(t, `insert into u values (3)`)
-	tw.mustStep(t, `insert into t values (4)`)
-	if got, want := strings.Join(tw.logged(t), ","), "r0,r1,r3,r3"; got != want {
+		end`, []indexStep{
+		{`insert into t values (1); insert into u values (1)`, "r1,r3"},
+		{`drop rule r1`, ""},
+		// r3 is now ordinal 1: a u-only transaction must not see the last
+		// transaction's t insertion.
+		{`insert into u values (2)`, ""},
+		{`create rule r0 when inserted into u then insert into log values ('r0') end`, ""},
+		{`insert into u values (3)`, "r0"},
+		{`insert into t values (4)`, "r3"},
+	})
+	if got, want := strings.Join(got, ","), "r0,r1,r3,r3"; got != want {
 		t.Fatalf("log %s, want %s", got, want)
 	}
 }
@@ -203,61 +65,35 @@ func TestRuleIndexRuleDDL(t *testing.T) {
 // TestRuleIndexReactivation: a deactivated rule gets no trans-info; after
 // ACTIVATE it sees only the transactions that follow.
 func TestRuleIndexReactivation(t *testing.T) {
-	tw := newIndexTwin(t, Config{}, `
+	got := runIndexSteps(t, Config{}, `
 		create rule r when inserted into t or inserted into u
 		then insert into log (select 'r' from inserted t)
-		end`)
-	tw.mustStep(t, `deactivate rule r`)
-	tw.mustStep(t, `insert into t values (1)`)
-	tw.mustStep(t, `activate rule r`)
-	tw.mustStep(t, `insert into u values (1)`)
-	if got := tw.logged(t); len(got) != 0 {
-		t.Fatalf("reactivated rule saw a transition from while it was inactive: %v", got)
-	}
-	tw.mustStep(t, `insert into t values (2), (3)`)
-	if got := tw.logged(t); len(got) != 2 {
-		t.Fatalf("log %v, want two rows", got)
-	}
-}
-
-// TestRuleIndexAfterFailure: a transaction rolled back by a rule, or by an
-// error mid-processing, leaves trans-info behind; the next transaction
-// must start from empty.
-func TestRuleIndexAfterFailure(t *testing.T) {
-	tw := newIndexTwin(t, Config{MaxRuleTransitions: 5}, `
-		create rule veto when inserted into t if exists (select * from inserted t where a = 99) then rollback;
-		create rule loop when inserted into w then insert into w (select a + 1 from inserted w) end;
-		create rule watch when inserted into t or inserted into u or inserted into w
-		if exists (select * from inserted t) or exists (select * from inserted w)
-		then insert into log values ('watch')
-		end;
-		create rule priority veto before watch;
-		create rule priority loop before watch`)
-	if res := tw.mustStep(t, `insert into t values (99)`); !res.RolledBack {
-		t.Fatal("veto did not roll back")
-	}
-	tw.mustStep(t, `insert into u values (1)`)
-	if _, err := tw.step(t, `insert into w values (0)`); err == nil {
-		t.Fatal("runaway loop was not stopped")
-	}
-	tw.mustStep(t, `insert into u values (2)`)
-	if got := tw.logged(t); len(got) != 0 {
-		t.Fatalf("watch saw a failed transaction's transition: %v", got)
+		end`, []indexStep{
+		{`deactivate rule r`, ""},
+		{`insert into t values (1)`, ""},
+		{`activate rule r`, ""},
+		// r fires on u but must not see t's row from while it was inactive.
+		{`insert into u values (1)`, "r"},
+		{`insert into t values (2), (3)`, "r"},
+	})
+	if got, want := strings.Join(got, ","), "r,r"; got != want {
+		t.Fatalf("log %s, want %s", got, want)
 	}
 }
 
 // TestRuleIndexSelectTriggers: `selected t` (Section 5.1) indexes the rule
 // under t, and the S component reaches it like any other change.
 func TestRuleIndexSelectTriggers(t *testing.T) {
-	tw := newIndexTwin(t, Config{EnableSelectTriggers: true}, `
+	got := runIndexSteps(t, Config{EnableSelectTriggers: true}, `
 		create rule audit when selected t or inserted into u
 		then insert into log (select 'audit' from selected t)
-		end`)
-	tw.mustStep(t, `insert into t values (1), (2)`)
-	tw.mustStep(t, `select a from t where a = 1; insert into u values (1)`)
-	tw.mustStep(t, `select a from u`)
-	if got := tw.logged(t); len(got) != 1 {
-		t.Fatalf("log %v, want one audit row", got)
+		end`, []indexStep{
+		{`insert into t values (1), (2)`, ""},
+		{`select a from t where a = 1; insert into u values (1)`, "audit"},
+		{`select a from u`, ""},
+	})
+	if got, want := strings.Join(got, ","), "audit"; got != want {
+		t.Fatalf("log %s, want %s", got, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package oracle
 
 import (
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sopr/internal/gen"
@@ -303,6 +305,171 @@ func targetedWorkloads() map[string]*gen.Workload {
 		},
 	}
 
+	// The index_* workloads aim at Figure 1's rule index (rules.Set.Watchers):
+	// the engine composes a transition only into the rules with a predicate
+	// on one of its tables, and creates a rule's trans-info only when such a
+	// transition first reaches it. log(msg) records what each rule saw.
+	logt := t2("log", gen.Col{Name: "msg", Kind: "varchar"})
+	logRow := func(msg string) gen.Stmt { return insert("log", row(gen.StrLit(msg))) }
+	logFrom := func(msg string, src gen.Source) gen.Stmt {
+		return gen.Stmt{Kind: "inssel", Table: "log", Src: &src, Proj: []gen.ProjItem{{Lit: gen.StrLit(msg)}}}
+	}
+	inserted := func(table string) gen.Source { return gen.Source{Trans: "inserted", Table: table} }
+	pred := func(op, table string) gen.Pred { return gen.Pred{Op: op, Table: table} }
+
+	// index_composes_once: seen watches t and u, so the index lists it
+	// under both, yet a transition touching both must compose into it
+	// exactly once. Composing twice is not idempotent: mover's
+	// insert-then-delete of the t tuple -1 would turn into a deletion, and
+	// seen would log it. txn 2's real deletion of a t tuple is logged.
+	ws["index_composes_once"] = &gen.Workload{
+		Seed: 9011, Cap: 10,
+		Tables: []gen.Table{t2("t", ic("a")), t2("u", ic("a")), logt},
+		Rules: []gen.Rule{
+			{
+				Name:  "mover",
+				Preds: []gen.Pred{pred("inserted", "t")},
+				Action: []gen.Stmt{
+					{Kind: "inssel", Table: "u", Src: &gen.Source{Trans: "inserted", Table: "t"},
+						Proj: []gen.ProjItem{{Col: "a"}}, Where: atom("a", "<", gen.IntLit(0))},
+					{Kind: "delete", Table: "t", Where: atom("a", "<", gen.IntLit(0))},
+				},
+			},
+			{
+				Name:   "seen",
+				Preds:  []gen.Pred{pred("inserted", "t"), pred("deleted", "t"), pred("inserted", "u")},
+				Cond:   &gen.Cond{Kind: "exists", Sub: gen.SubQuery{Src: gen.Source{Trans: "deleted", Table: "t"}}},
+				Action: []gen.Stmt{logRow("deleted t")},
+			},
+		},
+		Priorities: []gen.Priority{{Before: "mover", After: "seen"}},
+		Txns: [][]gen.Stmt{
+			{insert("t", row(gen.IntLit(-1)), row(gen.IntLit(2)))},
+			{{Kind: "delete", Table: "t", Where: atom("a", "=", gen.IntLit(2))}},
+		},
+	}
+
+	// index_scopes: the footnote 8 scopes on indexed rules. cons (SINCE
+	// CONSIDERED) watches t and w. In txn 1 it is considered false on two
+	// inserted t rows, which resets its window, so back's two t rows later
+	// leave it false again; under the default scope the window would hold
+	// four rows and cons would fire. In txn 2 it fires on three rows, and
+	// again on back's three. trig (SINCE TRIGGERED) logs each inserted u
+	// row. feed copies only b = 0 rows, so back's b = 1 rows end the chain.
+	ws["index_scopes"] = &gen.Workload{
+		Seed: 9012, Cap: 20,
+		Tables: []gen.Table{t2("t", ic("a"), ic("b")), t2("u", ic("a")), t2("w", ic("a")), logt},
+		Rules: []gen.Rule{
+			{
+				Name:  "feed",
+				Preds: []gen.Pred{pred("inserted", "t")},
+				Action: []gen.Stmt{{Kind: "inssel", Table: "u", Src: &gen.Source{Trans: "inserted", Table: "t"},
+					Proj: []gen.ProjItem{{Col: "a"}}, Where: atom("b", "=", gen.IntLit(0))}},
+			},
+			{
+				Name:  "back",
+				Preds: []gen.Pred{pred("inserted", "u")},
+				Action: []gen.Stmt{{Kind: "inssel", Table: "t", Src: &gen.Source{Trans: "inserted", Table: "u"},
+					Proj: []gen.ProjItem{{Col: "a"}, {Lit: gen.IntLit(1)}}}},
+			},
+			{
+				Name: "trig", Scope: "triggered",
+				Preds:  []gen.Pred{pred("inserted", "u")},
+				Action: []gen.Stmt{logFrom("trig", inserted("u"))},
+			},
+			{
+				Name: "cons", Scope: "considered",
+				Preds: []gen.Pred{pred("inserted", "t"), pred("inserted", "w")},
+				Cond: &gen.Cond{
+					Kind: "agg", Agg: "count",
+					Sub: gen.SubQuery{Src: inserted("t")},
+					Op:  ">", Lit: gen.IntLit(2),
+				},
+				Action: []gen.Stmt{logRow("cons")},
+			},
+		},
+		Priorities: []gen.Priority{{Before: "trig", After: "back"}, {Before: "cons", After: "feed"}},
+		Txns: [][]gen.Stmt{
+			{insert("t", row(gen.IntLit(0), gen.IntLit(0)), row(gen.IntLit(5), gen.IntLit(0))), insert("w", row(gen.IntLit(9)))},
+			{insert("t", row(gen.IntLit(1), gen.IntLit(0)), row(gen.IntLit(2), gen.IntLit(0)), row(gen.IntLit(3), gen.IntLit(0)))},
+		},
+	}
+
+	// index_process_rules: PROCESS RULES splits a block into external
+	// transitions, each composed into the rules it reaches like a rule
+	// transition. both watches t and u; onlyu watches only u, so the t
+	// segments never reach it. In txn 1 onlyu deletes a u tuple inserted
+	// in the same transaction, which cancels, so both is not triggered.
+	// The last block is two empty segments.
+	ws["index_process_rules"] = &gen.Workload{
+		Seed: 9013, Cap: 10,
+		Tables: []gen.Table{t2("t", ic("a")), t2("u", ic("a")), logt},
+		Rules: []gen.Rule{
+			{
+				Name:   "both",
+				Preds:  []gen.Pred{pred("inserted", "t"), pred("deleted", "u")},
+				Action: []gen.Stmt{logFrom("both", inserted("t"))},
+			},
+			{
+				Name:  "onlyu",
+				Preds: []gen.Pred{pred("inserted", "u")},
+				Cond: &gen.Cond{
+					Kind: "agg", Agg: "count",
+					Sub: gen.SubQuery{Src: inserted("u")},
+					Op:  ">", Lit: gen.IntLit(1),
+				},
+				Action: []gen.Stmt{{Kind: "delete", Table: "u", Where: atom("a", "=", gen.IntLit(0))}},
+			},
+		},
+		Txns: [][]gen.Stmt{
+			{insert("u", row(gen.IntLit(0)), row(gen.IntLit(5)))},
+			{
+				insert("t", row(gen.IntLit(1))), process,
+				insert("u", row(gen.IntLit(7)), row(gen.IntLit(8))), process,
+				{Kind: "delete", Table: "u", Where: atom("a", "=", gen.IntLit(5))}, insert("t", row(gen.IntLit(2))),
+			},
+			{process, process},
+		},
+	}
+
+	// index_after_failure: a transaction rolled back by a rule (veto) or by
+	// the transition cap (loop) leaves trans-info behind in the rules it
+	// reached; the next transaction must start from empty. watch fires on
+	// every u insertion and logs any inserted t or w row in its window, so
+	// a leftover from a failed transaction shows in log.
+	ws["index_after_failure"] = &gen.Workload{
+		Seed: 9014, Cap: 5,
+		Tables: []gen.Table{t2("t", ic("a")), t2("u", ic("a")), t2("w", ic("a")), logt},
+		Rules: []gen.Rule{
+			{
+				Name:  "veto",
+				Preds: []gen.Pred{pred("inserted", "t")},
+				Cond: &gen.Cond{Kind: "exists", Sub: gen.SubQuery{
+					Src: inserted("t"), Where: atom("a", "=", gen.IntLit(99)),
+				}},
+				Rollback: true,
+			},
+			{
+				Name:  "loop",
+				Preds: []gen.Pred{pred("inserted", "w")},
+				Action: []gen.Stmt{{Kind: "inssel", Table: "w", Src: &gen.Source{Trans: "inserted", Table: "w"},
+					Proj: []gen.ProjItem{{Col: "a"}}}},
+			},
+			{
+				Name:   "watch",
+				Preds:  []gen.Pred{pred("inserted", "t"), pred("inserted", "u"), pred("inserted", "w")},
+				Action: []gen.Stmt{logFrom("watch t", inserted("t")), logFrom("watch w", inserted("w"))},
+			},
+		},
+		Priorities: []gen.Priority{{Before: "veto", After: "watch"}, {Before: "loop", After: "watch"}},
+		Txns: [][]gen.Stmt{
+			{insert("t", row(gen.IntLit(99)))},
+			{insert("u", row(gen.IntLit(1)))},
+			{insert("w", row(gen.IntLit(0)))},
+			{insert("u", row(gen.IntLit(2)))},
+		},
+	}
+
 	return ws
 }
 
@@ -442,6 +609,60 @@ func TestTargetedExpectations(t *testing.T) {
 		_, outs := run("empty_segments")
 		if outs[0].Kind != Committed || len(outs[0].Firings) != 1 {
 			t.Fatalf("outcome %+v, want committed with 1 firing", outs[0])
+		}
+	})
+	// logged counts the log rows per message.
+	logged := func(db *DB) map[string]int {
+		n := map[string]int{}
+		for _, r := range db.State()["log"] {
+			n[r.Row[0].Str()]++
+		}
+		return n
+	}
+	firings := func(t *testing.T, outs []Outcome, want ...string) {
+		t.Helper()
+		for i, o := range outs {
+			if got := strings.Join(o.Firings, ","); o.Kind != Committed || got != want[i] {
+				t.Errorf("txn %d: %v firings [%s], want committed [%s]", i, o, got, want[i])
+			}
+		}
+	}
+	t.Run("index_composes_once", func(t *testing.T) {
+		db, outs := run("index_composes_once")
+		firings(t, outs, "mover", "seen")
+		if got := logged(db); !maps.Equal(got, map[string]int{"deleted t": 1}) {
+			t.Fatalf("log %v, want the one real deletion", got)
+		}
+	})
+	t.Run("index_scopes", func(t *testing.T) {
+		db, outs := run("index_scopes")
+		for i, want := range []int{0, 2} {
+			if got := strings.Count(strings.Join(outs[i].Firings, ",")+",", "cons,"); got != want {
+				t.Errorf("txn %d: cons fired %d times (%v), want %d", i, got, outs[i].Firings, want)
+			}
+		}
+		if got := logged(db); !maps.Equal(got, map[string]int{"cons": 2, "trig": 5}) {
+			t.Fatalf("log %v, want cons 2 and trig 5", got)
+		}
+	})
+	t.Run("index_process_rules", func(t *testing.T) {
+		db, outs := run("index_process_rules")
+		firings(t, outs, "onlyu", "both,onlyu,both", "")
+		if got := logged(db); !maps.Equal(got, map[string]int{"both": 2}) {
+			t.Fatalf("log %v, want both 2", got)
+		}
+	})
+	t.Run("index_after_failure", func(t *testing.T) {
+		db, outs := run("index_after_failure")
+		if outs[0].Kind != RolledBack || outs[0].Rule != "veto" {
+			t.Errorf("txn 0 outcome %v, want rolled back by veto", outs[0])
+		}
+		if outs[2].Kind != Errored || !outs[2].Runaway {
+			t.Errorf("txn 2 outcome %v, want runaway error", outs[2])
+		}
+		firings(t, []Outcome{outs[1], outs[3]}, "watch", "watch")
+		if got := logged(db); len(got) != 0 {
+			t.Fatalf("watch saw a failed transaction's transition: log %v", got)
 		}
 	})
 }

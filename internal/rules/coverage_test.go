@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"sopr/internal/sqlast"
 	"sopr/internal/storage"
 )
 
@@ -210,13 +211,16 @@ func TestCloneFiltered(t *testing.T) {
 }
 
 func TestRuleKeep(t *testing.T) {
-	r := &Rule{}
-	if !r.Keep("anything") {
-		t.Error("nil PredTables must keep everything")
+	r := &Rule{Preds: []sqlast.TransPred{
+		pred(sqlast.PredInserted, "emp", ""),
+		pred(sqlast.PredUpdated, "emp", "salary"),
+		pred(sqlast.PredSelected, "audit", ""),
+	}}
+	if !r.Keep("emp") || !r.Keep("audit") || r.Keep("dept") {
+		t.Error("Keep must hold exactly for the predicate tables")
 	}
-	r.PredTables = map[string]bool{"emp": true}
-	if !r.Keep("emp") || r.Keep("dept") {
-		t.Error("PredTables filtering wrong")
+	if (&Rule{}).Keep("emp") {
+		t.Error("a rule without predicates keeps nothing")
 	}
 }
 
@@ -339,17 +343,20 @@ func TestValidateRuleWalksEveryExprForm(t *testing.T) {
 	}
 }
 
-// TestSetWatchers: the table → rules index lists each active rule under
-// its predicate tables and the nil-PredTables rules under every table, and
-// leaves inactive rules out. Its lazy first build is safe from several
-// goroutines at once.
+// TestSetWatchers: the table → rules index lists each active rule once
+// under each of its predicate tables — `selected t` included, and however
+// many predicates name the table — and leaves inactive rules out. Its lazy
+// first build is safe from several goroutines at once.
 func TestSetWatchers(t *testing.T) {
+	preds := func(ps ...sqlast.TransPred) []sqlast.TransPred { return ps }
 	s := &Set{}
 	for _, r := range []*Rule{
-		{Name: "t_only", Active: true, PredTables: map[string]bool{"t": true}},
-		{Name: "t_and_u", Active: true, PredTables: map[string]bool{"t": true, "u": true}},
-		{Name: "all", Active: true},
-		{Name: "off", PredTables: map[string]bool{"t": true}},
+		{Name: "ins_del_t", Active: true, Preds: preds(
+			pred(sqlast.PredInserted, "t", ""), pred(sqlast.PredDeleted, "t", ""))},
+		{Name: "t_and_u", Active: true, Preds: preds(
+			pred(sqlast.PredUpdated, "t", "a"), pred(sqlast.PredInserted, "u", ""))},
+		{Name: "sel_w", Active: true, Preds: preds(pred(sqlast.PredSelected, "w", ""))},
+		{Name: "off", Preds: preds(pred(sqlast.PredInserted, "t", ""), pred(sqlast.PredInserted, "x", ""))},
 	} {
 		var err error
 		if s, err = s.Define(r); err != nil {
@@ -365,10 +372,8 @@ func TestSetWatchers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for table, want := range map[string][]int{"t": {0, 1, 2}, "u": {1, 2}, "v": {2}} {
-		got := slices.Clone(s.Watchers(table))
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
+	for table, want := range map[string][]int{"t": {0, 1}, "u": {1}, "w": {2}, "x": nil, "v": nil} {
+		if got := s.Watchers(table); !slices.Equal(got, want) {
 			t.Errorf("Watchers(%q) = %v, want %v", table, got, want)
 		}
 	}

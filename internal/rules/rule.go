@@ -52,20 +52,20 @@ type Rule struct {
 	Action    sqlast.RuleAction
 	Active    bool
 	Scope     TriggerScope
-
-	// PredTables caches the tables named in Preds. When set, the engine
-	// restricts the rule's transition information to these tables — the
-	// optimization Figure 1's discussion calls out ("we need only save the
-	// subset of that information relevant to the particular rule"), sound
-	// because Section 3 restricts transition-table references to the
-	// rule's own predicates.
-	PredTables map[string]bool
 }
 
 // Keep reports whether transition information about the given table is
-// relevant to the rule. A nil PredTables keeps everything.
+// relevant to the rule: whether one of its predicates names the table.
+// Figure 1's discussion: "we need only save the subset of that
+// information relevant to the particular rule" — sound because Section 3
+// restricts transition-table references to the rule's own predicates.
 func (r *Rule) Keep(table string) bool {
-	return r.PredTables == nil || r.PredTables[table]
+	for _, p := range r.Preds {
+		if p.Table == table {
+			return true
+		}
+	}
+	return false
 }
 
 // Names reports whether the rule names table in a predicate, its condition
@@ -153,11 +153,13 @@ func effectSatisfiesOne(e *Effect, p sqlast.TransPred, cat *catalog.Catalog) (bo
 	}
 }
 
-// ValidateRule checks the static restrictions of Section 3: the rule's
-// condition and action may reference only transition tables corresponding
-// to the rule's own basic transition predicates, over known tables and
-// columns. ("This restriction is syntactic, however, therefore easily
-// checked.")
+// ValidateRule checks that each predicate names a known table (and, for
+// `updated t.c`, a known column), and the static restriction of Section 3:
+// the rule's condition and action may reference only transition tables
+// corresponding to its own basic transition predicates. ("This
+// restriction is syntactic, however, therefore easily checked.") Other
+// table and column names in the condition and action are not checked
+// here.
 func ValidateRule(r *sqlast.CreateRule, cat *catalog.Catalog) error {
 	for _, p := range r.Preds {
 		schema, err := cat.Lookup(p.Table)

@@ -18,11 +18,10 @@ type Set struct {
 	index map[string]int
 	edges [][2]string // declared pairs [before, after], sorted, distinct
 
-	// watch and watchAll are Watchers' index, built on its first use so
-	// that rule DDL does not pay for it.
+	// watch is Watchers' index, built on its first use so that rule DDL
+	// does not pay for it.
 	watchOnce sync.Once
 	watch     map[string][]int
-	watchAll  []int
 }
 
 // Len returns the number of rules.
@@ -52,31 +51,24 @@ func (s *Set) Edges() [][2]string { return s.edges }
 
 // Watchers returns the ordinals of the active rules whose transition
 // information a change to table can alter: those with a predicate on table
-// (Section 3 confines a rule to its predicates' tables) and those with nil
-// PredTables. Inactive rules need none: ACTIVATE happens only between
-// transactions. The slice is shared: callers must not modify it.
+// (Section 3 confines a rule to its predicates' tables), each listed once.
+// Inactive rules need none: ACTIVATE happens only between transactions.
+// The slice is shared: callers must not modify it.
 func (s *Set) Watchers(table string) []int {
 	s.watchOnce.Do(func() {
 		s.watch = make(map[string][]int)
 		for i, r := range s.rules {
-			switch {
-			case !r.Active:
-			case r.PredTables == nil:
-				s.watchAll = append(s.watchAll, i)
-			default:
-				for t := range r.PredTables {
-					s.watch[t] = append(s.watch[t], i)
+			if !r.Active {
+				continue
+			}
+			for _, p := range r.Preds {
+				if w := s.watch[p.Table]; len(w) == 0 || w[len(w)-1] != i {
+					s.watch[p.Table] = append(w, i)
 				}
 			}
 		}
-		for t, w := range s.watch {
-			s.watch[t] = append(w, s.watchAll...)
-		}
 	})
-	if w, ok := s.watch[table]; ok {
-		return w
-	}
-	return s.watchAll
+	return s.watch[table]
 }
 
 func (s *Set) ordinal(name string) (int, error) {
