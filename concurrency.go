@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"sopr/internal/wal"
 )
 
 // The paper's model of system execution is a single stream of operation
@@ -128,6 +130,41 @@ func (s *SynchronizedDB) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.db.Checkpoint()
+}
+
+// ApplyRecord replays one replicated log record under the write mutex
+// (see engine.ReplayRecord): it appends the record to the attached log if
+// there is one — log before apply, so a crash between the two replays it
+// at restart — applies it with rule processing disabled, and publishes the
+// result for lock-free readers. It returns the decoded record. Like
+// DB.WALLog it takes an internal type: it exists for the replication
+// package, whose followers keep one handle for their whole life.
+func (s *SynchronizedDB) ApplyRecord(raw wal.RawRecord) (wal.Record, error) {
+	rec, err := raw.Decode()
+	if err != nil {
+		return rec, fmt.Errorf("sopr: decode record lsn %d: %w", raw.LSN, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if l := s.db.walLog; l != nil {
+		if err := l.AppendRaw(raw); err != nil {
+			return rec, fmt.Errorf("sopr: append record lsn %d: %w", raw.LSN, err)
+		}
+	}
+	if err := s.db.eng.ReplayRecord(rec); err != nil {
+		return rec, err
+	}
+	s.db.eng.PublishSnapshot()
+	return rec, nil
+}
+
+// Restore replaces the database with a checkpoint image (nil empties it)
+// under the write mutex, logging nothing (see engine.Restore). A follower
+// re-bootstrapping from its leader installs the image here.
+func (s *SynchronizedDB) Restore(ck *wal.Checkpoint) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.db.eng.Restore(ck)
 }
 
 // Close closes the wrapped database's write-ahead log under the write

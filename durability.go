@@ -53,9 +53,11 @@ func WithFsyncInterval(d time.Duration) Option {
 	return func(c *config) { c.dur.interval = d }
 }
 
-// withFS routes the log through an alternate filesystem — the fault
-// injection hook used by the crash-recovery tests.
-func withFS(fs wal.FS) Option {
+// WithFS routes the log through an alternate filesystem — the fault
+// injection hook of the crash-recovery tests, which a durable replication
+// follower passes on. It takes an internal type, so only this module can
+// use it.
+func WithFS(fs wal.FS) Option {
 	return func(c *config) { c.dur.fs = fs }
 }
 
@@ -107,11 +109,9 @@ func openDurable(dir string, cfg config) (*DB, error) {
 		return nil, fmt.Errorf("sopr: open %s: %w", dir, err)
 	}
 	eng := engine.New(cfg.eng)
-	if rec.Checkpoint != nil {
-		if err := eng.LoadCheckpoint(rec.Checkpoint); err != nil {
-			_ = l.Close() // recovery already failed
-			return nil, fmt.Errorf("sopr: recover %s: %w", dir, err)
-		}
+	if err := eng.Restore(rec.Checkpoint); err != nil {
+		_ = l.Close() // recovery already failed
+		return nil, fmt.Errorf("sopr: recover %s: %w", dir, err)
 	}
 	for _, r := range rec.Records {
 		if err := eng.ReplayRecord(r); err != nil {
@@ -164,9 +164,9 @@ func (db *DB) CurrentLSN() uint64 {
 // stream sessions can tail and pin it.
 func (db *DB) WALLog() *wal.Log { return db.walLog }
 
-// Engine exposes the underlying engine. The replication package uses it
-// when a demoted primary must re-home its engine under a follower that
-// shares the same log; it is not part of the stable public surface.
+// Engine exposes the underlying engine to this module's tools (the
+// benchmark harness traces it); it is not part of the stable public
+// surface. Replication goes through SynchronizedDB instead.
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
 // Close flushes and closes the write-ahead log. Executing against a closed

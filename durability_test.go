@@ -92,7 +92,7 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	mem := wal.NewMemFS()
-	db, err := OpenDurable("data", withFS(mem))
+	db, err := OpenDurable("data", WithFS(mem))
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db2, err := OpenDurable("data", withFS(mem))
+	db2, err := OpenDurable("data", WithFS(mem))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// A second reopen right away replays from the same checkpoint again.
 	db2.Close()
-	db3, err := OpenDurable("data", withFS(mem))
+	db3, err := OpenDurable("data", WithFS(mem))
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestRolledBackTransactionsNotLogged(t *testing.T) {
 	mem := wal.NewMemFS()
-	db, err := OpenDurable("data", withFS(mem))
+	db, err := OpenDurable("data", WithFS(mem))
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestRolledBackTransactionsNotLogged(t *testing.T) {
 	}
 	want := mustDump(t, db)
 	db.Close()
-	db2, err := OpenDurable("data", withFS(mem))
+	db2, err := OpenDurable("data", WithFS(mem))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestRolledBackTransactionsNotLogged(t *testing.T) {
 // and again inside a checkpoint image.
 func TestRuleScopeChangeSurvivesReopen(t *testing.T) {
 	mem := wal.NewMemFS()
-	db, err := OpenDurable("data", withFS(mem))
+	db, err := OpenDurable("data", WithFS(mem))
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestRuleScopeChangeSurvivesReopen(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		db2, err := OpenDurable("data", withFS(mem))
+		db2, err := OpenDurable("data", WithFS(mem))
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
@@ -219,7 +219,7 @@ func TestRuleScopeChangeSurvivesReopen(t *testing.T) {
 
 func TestOpenDurableRefusesCorruptLog(t *testing.T) {
 	mem := wal.NewMemFS()
-	db, err := OpenDurable("data", withFS(mem), withSegmentSize(64))
+	db, err := OpenDurable("data", WithFS(mem), withSegmentSize(64))
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestOpenDurableRefusesCorruptLog(t *testing.T) {
 	}
 	f.Write([]byte{0xff, 0xff, 0xff}) //nolint:errcheck // test corruption
 	f.Close()
-	if _, err := OpenDurable("data", withFS(mem)); err == nil {
+	if _, err := OpenDurable("data", WithFS(mem)); err == nil {
 		t.Fatal("OpenDurable served from a log with a mid-stream hole")
 	}
 }
@@ -262,7 +262,7 @@ func crashWorkload(t *testing.T, seed int64) {
 	mem := wal.NewMemFS()
 	ffs := wal.NewFaultFS(mem)
 
-	dur, err := OpenDurable("data", withFS(ffs), withSegmentSize(512))
+	dur, err := OpenDurable("data", WithFS(ffs), withSegmentSize(512))
 	if err != nil {
 		t.Fatalf("seed %d: OpenDurable: %v", seed, err)
 	}
@@ -325,7 +325,7 @@ func crashWorkload(t *testing.T, seed int64) {
 	// The machine reboots: unsynced bytes are gone, then a fresh process
 	// recovers from what fsync made durable.
 	mem.DropUnsynced()
-	rec, err := OpenDurable("data", withFS(mem), withSegmentSize(512))
+	rec, err := OpenDurable("data", WithFS(mem), withSegmentSize(512))
 	if err != nil {
 		t.Fatalf("seed %d (crashed=%v): recovery failed: %v", seed, crashed, err)
 	}
@@ -369,7 +369,7 @@ func crashGroupWorkload(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	mem := wal.NewMemFS()
 	ffs := wal.NewFaultFS(mem)
-	dur, err := OpenDurable("data", withFS(ffs), withSegmentSize(1024))
+	dur, err := OpenDurable("data", WithFS(ffs), withSegmentSize(1024))
 	if err != nil {
 		t.Fatalf("seed %d: OpenDurable: %v", seed, err)
 	}
@@ -424,7 +424,7 @@ func crashGroupWorkload(t *testing.T, seed int64) {
 	sdb.Close() //nolint:errcheck // the log may already be dead
 
 	mem.DropUnsynced()
-	rec, err := OpenDurable("data", withFS(mem), withSegmentSize(1024))
+	rec, err := OpenDurable("data", WithFS(mem), withSegmentSize(1024))
 	if err != nil {
 		t.Fatalf("seed %d: recovery failed: %v", seed, err)
 	}
@@ -472,7 +472,7 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 
 func TestSynchronizedDurable(t *testing.T) {
 	mem := wal.NewMemFS()
-	db, err := OpenDurable("data", withFS(mem))
+	db, err := OpenDurable("data", WithFS(mem))
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}

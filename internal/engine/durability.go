@@ -28,10 +28,11 @@ const ckptBatch = 512
 
 // AttachWAL connects the engine to an open log. Every subsequent committed
 // transaction appends its net effect before the in-memory commit, and every
-// definition statement appends its text. Attach after recovery has been
-// replayed (LoadCheckpoint and ReplayRecord do not re-log what they apply);
-// attaching publishes the engine snapshot, making the fully-recovered state
-// (and its LSN) visible to lock-free readers in one step.
+// executed definition statement appends its text. Restore and ReplayRecord
+// never log what they apply, so a log may stay attached while a follower
+// replays its stream into it. Attaching publishes the engine snapshot,
+// making the fully-recovered state (and its LSN) visible to lock-free
+// readers in one step.
 func (e *Engine) AttachWAL(l *wal.Log) {
 	e.wal = l
 	e.PublishSnapshot()
@@ -202,17 +203,18 @@ func (e *Engine) logDefinition(st sqlast.Statement) error {
 	return nil
 }
 
-// ReplayRecord applies one recovered log record with rule processing
-// disabled: commit records replay their net effect by handle, definition
-// records re-execute their SQL text. The engine must not have a WAL
-// attached yet (replayed work is already in the log).
+// ReplayRecord applies one recovered or replicated log record with rule
+// processing disabled: commit records replay their net effect by handle,
+// definition records re-apply their SQL text. It never writes the attached
+// log: the record is already there (recovery) or its owner appended it
+// (a durable follower).
 //
-// Commit replays deliberately do not publish a read snapshot: publishing
-// freezes every table, so the next replayed record would clone its table
-// again — per-record publishes would make recovery quadratic. Recovery
-// publishes once at the end (AttachWAL); a replication follower, which
-// wants per-record read visibility, calls PublishSnapshot after each
-// record and pays the copy-on-write clone as the price.
+// Replays deliberately do not publish a read snapshot: publishing freezes
+// every table, so the next replayed record would clone its table again —
+// per-record publishes would make recovery quadratic. Recovery publishes
+// once at the end (AttachWAL); a replication follower, which wants
+// per-record read visibility, calls PublishSnapshot after each record and
+// pays the copy-on-write clone as the price.
 func (e *Engine) ReplayRecord(rec wal.Record) error {
 	switch rec.Kind {
 	case wal.KindCommit:
@@ -230,7 +232,7 @@ func (e *Engine) ReplayRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("engine: replay lsn %d: parse %q: %w", rec.LSN, rec.DDL.Stmt, err)
 		}
-		if err := e.execDefinition(st); err != nil {
+		if err := e.applyDefinition(st); err != nil {
 			return fmt.Errorf("engine: replay lsn %d: %w", rec.LSN, err)
 		}
 	case wal.KindEpoch:
@@ -286,19 +288,10 @@ func (e *Engine) Checkpoint() error {
 	if e.wal == nil {
 		return fmt.Errorf("engine: no write-ahead log attached")
 	}
-	return e.CheckpointTo(e.wal)
-}
-
-// CheckpointTo writes the image through an explicit log. A durable
-// replication follower checkpoints its engine into its own log this way:
-// the follower's engine has no WAL attached (replayed records are already
-// in the log), but its log still needs periodic images for pruning and for
-// bootstrapping siblings after a promotion.
-func (e *Engine) CheckpointTo(l *wal.Log) error {
 	if e.store.InTxn() {
 		return fmt.Errorf("engine: cannot checkpoint during a transaction")
 	}
-	err := l.WriteCheckpoint(func(cw *wal.CheckpointWriter) error {
+	err := e.wal.WriteCheckpoint(func(cw *wal.CheckpointWriter) error {
 		var schema strings.Builder
 		if err := dumpTables(&schema, e.store.Catalog()); err != nil {
 			return err
@@ -349,35 +342,52 @@ func (e *Engine) CheckpointTo(l *wal.Log) error {
 	return nil
 }
 
-// LoadCheckpoint installs a recovered checkpoint image into an empty
-// engine: schema script, tuples with their original handles, rule script,
-// handle counter. Call before replaying the log tail and before AttachWAL.
-func (e *Engine) LoadCheckpoint(ck *wal.Checkpoint) error {
-	if e.wal != nil {
-		return fmt.Errorf("engine: load checkpoint after WAL attach")
-	}
-	if _, err := e.Exec(ck.Meta.Schema); err != nil {
-		return fmt.Errorf("engine: checkpoint schema: %w", err)
-	}
-	for _, batch := range ck.Tables {
-		for _, tup := range batch.Tuples {
-			row, err := cellsToRow(tup.Row)
-			if err != nil {
-				return err
-			}
-			if err := e.store.ReplayInsert(batch.Table, storage.Handle(tup.Handle), row); err != nil {
-				return fmt.Errorf("engine: checkpoint rows: %w", err)
+// Restore replaces the whole database — data, schema, indexes, rules and
+// their Figure 1 state — with a checkpoint image (nil restores the empty
+// database): schema script, tuples with their original handles, rule
+// script, handle counter. Nothing is logged, so it serves crash recovery
+// before the log tail is replayed and a follower re-bootstrapping with its
+// log attached. It publishes once; lock-free readers keep whichever
+// snapshot they loaded. The engine counters carry over; the storage
+// access-path counters (heap scans, index lookups) start again with the
+// new store.
+func (e *Engine) Restore(ck *wal.Checkpoint) error {
+	e.store = storage.New()
+	e.rules, e.run, e.touched = &rules.Set{}, nil, e.touched[:0]
+	if ck != nil {
+		if err := e.applyScript(ck.Meta.Schema); err != nil {
+			return fmt.Errorf("engine: checkpoint schema: %w", err)
+		}
+		for _, batch := range ck.Tables {
+			for _, tup := range batch.Tuples {
+				row, err := cellsToRow(tup.Row)
+				if err != nil {
+					return err
+				}
+				if err := e.store.ReplayInsert(batch.Table, storage.Handle(tup.Handle), row); err != nil {
+					return fmt.Errorf("engine: checkpoint rows: %w", err)
+				}
 			}
 		}
-	}
-	if ck.Rules != "" {
-		if _, err := e.Exec(ck.Rules); err != nil {
+		if err := e.applyScript(ck.Rules); err != nil {
 			return fmt.Errorf("engine: checkpoint rules: %w", err)
 		}
+		e.store.RestoreNextHandle(storage.Handle(ck.Meta.LastHandle))
 	}
-	e.store.RestoreNextHandle(storage.Handle(ck.Meta.LastHandle))
-	// One publish for the whole image: the replayed rows went in without
-	// per-record publishes (see ReplayRecord).
 	e.PublishSnapshot()
+	return nil
+}
+
+// applyScript applies a script of definition statements without logging.
+func (e *Engine) applyScript(src string) error {
+	stmts, err := sqlparse.ParseStatements(src)
+	if err != nil {
+		return err
+	}
+	for _, st := range stmts {
+		if err := e.applyDefinition(st); err != nil {
+			return err
+		}
+	}
 	return nil
 }

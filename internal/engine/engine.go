@@ -461,9 +461,8 @@ func (e *Engine) QueryString(src string) (*exec.Result, error) {
 }
 
 // execDefinition handles DDL and rule-management statements, logging each
-// successful one to the write-ahead log when attached. (Recovery replays
-// definitions through this path too — before AttachWAL, so nothing is
-// re-logged.)
+// successful one to the write-ahead log when attached. Replay applies
+// logged definitions through applyDefinition, which never logs.
 func (e *Engine) execDefinition(st sqlast.Statement) error {
 	if err := e.applyDefinition(st); err != nil {
 		return err

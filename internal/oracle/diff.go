@@ -183,10 +183,8 @@ func RunDiff(w *gen.Workload, opts Options) *Divergence {
 	}
 	defer log2.Close()
 	recovered := engine.New(engine.Config{MaxRuleTransitions: w.Cap, SelectHook: choose})
-	if rec2.Checkpoint != nil {
-		if err := recovered.LoadCheckpoint(rec2.Checkpoint); err != nil {
-			return diverge("walreplay", -1, "checkpoint: %v", err)
-		}
+	if err := recovered.Restore(rec2.Checkpoint); err != nil {
+		return diverge("walreplay", -1, "checkpoint: %v", err)
 	}
 	for _, r := range rec2.Records {
 		if err := recovered.ReplayRecord(r); err != nil {

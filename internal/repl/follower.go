@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sopr"
-	"sopr/internal/engine"
 	"sopr/internal/wal"
 	"sopr/internal/wire"
 )
@@ -85,34 +84,34 @@ func (c *FollowerConfig) fill() {
 	}
 }
 
-// Follower is a replica: an engine kept current by replaying the leader's
-// WAL stream with rule processing disabled — the same replay crash
-// recovery runs, so the state cannot diverge from what the leader
-// committed. It implements the server backend interface; Exec returns
+// Follower is a replica: a database kept current by replaying the
+// leader's WAL stream with rule processing disabled — the same replay
+// crash recovery runs, so the state cannot diverge from what the leader
+// committed. It implements the server backend interface; writes return
 // ErrReadOnly (or FencedError after a fencing step-down) until Promote
 // flips the node writable.
 //
 // An in-memory follower keeps no local log: a restarted one rejoins from
 // LSN 0 and the leader bootstraps it from its newest checkpoint image. A
-// durable follower (DataDir) persists the stream into its own wal.Log and
-// recovers from it at startup; after promotion it appends an epoch record,
-// attaches the log to its engine, and serves as a WAL-shipping source for
-// re-pointed siblings.
+// durable follower (DataDir) is opened with sopr.OpenDurable, so it
+// recovers exactly as a primary does, and persists the stream into that
+// log; after promotion it appends an epoch record and serves as a
+// WAL-shipping source for re-pointed siblings.
 type Follower struct {
-	cfg FollowerConfig
-	log *wal.Log // nil in-memory
-	src *Source  // non-nil when durable: serves joins over log
+	cfg    FollowerConfig
+	db     *sopr.SynchronizedDB // the node's one handle: applies, reads, promoted writes
+	log    *wal.Log             // db's log; nil in-memory
+	src    *Source              // non-nil when durable: serves joins over log
+	commit *commitSync
 
-	// mu guards the engine: stream apply and promoted writes take it
-	// exclusively, queries/dumps/stats share it (the same discipline as
-	// SynchronizedDB on the primary). Promote takes it to exclude an
-	// in-flight apply while it appends the epoch record.
-	mu  sync.RWMutex
-	eng *engine.Engine
+	// amu orders the stream's applies and resets against Promote, so the
+	// epoch record lands after any in-flight apply and no record is
+	// applied once the node is promoted.
+	amu sync.Mutex
 
-	// smu guards replication status, separate from mu so stats and
+	// smu guards replication status, separate from amu so stats and
 	// read-your-writes waits never queue behind a large apply. Lock order:
-	// mu before smu (never the reverse).
+	// amu before smu (never the reverse).
 	smu        sync.Mutex
 	applied    uint64
 	primaryLSN uint64
@@ -124,9 +123,8 @@ type Follower struct {
 	promoted   bool
 	appliedCh  chan struct{} // closed on each applied/promoted change
 
-	resets       int64 // reset-and-rebootstrap cycles
-	discarded    int64 // locally-held records dropped by resets
-	syncTimeouts int64 // degraded synchronous commits
+	resets    int64 // reset-and-rebootstrap cycles
+	discarded int64 // locally-held records dropped by resets
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -140,78 +138,47 @@ type Follower struct {
 // NewFollower builds a replica targeting cfg.Primary, recovering local
 // state from cfg.DataDir when set. Call Run to start the stream loop.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
-	cfg.fill()
-	f := &Follower{
-		cfg:    cfg,
-		leader: cfg.Primary,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		wake:   make(chan struct{}, 1),
+	opts := []sopr.Option{sopr.WithMaxRuleTransitions(cfg.MaxRuleTransitions)}
+	if cfg.SelectTriggers {
+		opts = append(opts, sopr.WithSelectTriggers())
 	}
 	if cfg.DataDir == "" {
-		f.eng = engine.New(f.engineConfig())
-		return f, nil
+		return newFollower(cfg, sopr.Synchronized(sopr.Open(opts...)), nil, nil, 0), nil
 	}
-	l, rec, err := wal.Open(cfg.DataDir, wal.Options{FS: cfg.FS})
+	db, err := sopr.OpenDurable(cfg.DataDir, append(opts, sopr.WithFS(cfg.FS))...)
 	if err != nil {
-		return nil, fmt.Errorf("repl: open follower log: %w", err)
+		return nil, fmt.Errorf("repl: open follower: %w", err)
 	}
-	// Recover exactly as OpenDurable does, but leave the WAL detached:
-	// stream applies are already in the log (AppendRaw precedes the engine
-	// apply), so the engine must not re-log them. Promote attaches it.
-	eng := engine.New(f.engineConfig())
-	if rec.Checkpoint != nil {
-		if err := eng.LoadCheckpoint(rec.Checkpoint); err != nil {
-			_ = l.Close()
-			return nil, fmt.Errorf("repl: recover follower %s: %w", cfg.DataDir, err)
-		}
-	}
-	for _, r := range rec.Records {
-		if err := eng.ReplayRecord(r); err != nil {
-			_ = l.Close()
-			return nil, fmt.Errorf("repl: recover follower %s: %w", cfg.DataDir, err)
-		}
-	}
-	eng.PublishSnapshot()
-	f.log, f.eng = l, eng
-	f.applied = l.NextLSN() - 1
-	f.primaryLSN = f.applied
-	f.epoch = l.Epoch()
-	f.known = l.Epoch()
-	f.src = NewSource(l, SourceConfig{Heartbeat: cfg.Heartbeat, OnFenced: f.ObserveEpoch, Logf: cfg.Logf})
+	f := newFollower(cfg, sopr.Synchronized(db), db.WALLog(), nil, 0)
+	f.src = NewSource(f.log, SourceConfig{Heartbeat: cfg.Heartbeat, OnFenced: f.ObserveEpoch, Logf: cfg.Logf})
+	f.commit.src = f.src
 	return f, nil
 }
 
-// newFollowerShared wraps an existing engine and log — a demoted primary's
-// — as a follower. The engine keeps its attached WAL (replay never
-// re-logs), and the demoted node keeps serving its existing Source.
-func newFollowerShared(cfg FollowerConfig, eng *engine.Engine, l *wal.Log, src *Source, knownEpoch uint64) *Follower {
+// newFollower wraps a handle — a fresh replica's, or a demoted primary's
+// together with its log and Source — as a follower that has seen
+// knownEpoch.
+func newFollower(cfg FollowerConfig, db *sopr.SynchronizedDB, l *wal.Log, src *Source, knownEpoch uint64) *Follower {
 	cfg.fill()
 	f := &Follower{
 		cfg:    cfg,
+		db:     db,
 		log:    l,
 		src:    src,
-		eng:    eng,
 		leader: cfg.Primary,
+		known:  knownEpoch,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		wake:   make(chan struct{}, 1),
 	}
-	f.applied = l.NextLSN() - 1
-	f.primaryLSN = f.applied
-	f.epoch = l.Epoch()
-	f.known = knownEpoch
-	if f.epoch > f.known {
-		f.known = f.epoch
+	f.commit = &commitSync{log: l, src: src, n: cfg.SyncFollowers, timeout: cfg.SyncTimeout, logf: f.logf}
+	if l != nil {
+		f.applied = l.NextLSN() - 1
+		f.primaryLSN = f.applied
+		f.epoch = l.Epoch()
+		f.known = max(f.known, f.epoch)
 	}
 	return f
-}
-
-func (f *Follower) engineConfig() engine.Config {
-	return engine.Config{
-		EnableSelectTriggers: f.cfg.SelectTriggers,
-		MaxRuleTransitions:   f.cfg.MaxRuleTransitions,
-	}
 }
 
 func (f *Follower) logf(format string, args ...any) {
@@ -378,8 +345,7 @@ func (f *Follower) stream(nc net.Conn) error {
 			snap = append(snap, wal.CkptPart{Kind: m.Kind, Payload: m.Payload})
 			if m.Kind == wal.KindCkptEnd {
 				if err := f.installSnapshot(snap); err != nil {
-					f.reset()
-					return fmt.Errorf("install snapshot: %w", err)
+					return fmt.Errorf("install snapshot failed; reset for re-bootstrap: %w", err)
 				}
 				snap = nil
 				if err := sendAck(true); err != nil {
@@ -411,28 +377,29 @@ func (f *Follower) stream(nc net.Conn) error {
 	}
 }
 
-// installSnapshot replaces the engine with one rebuilt from checkpoint
-// parts, exactly as crash recovery loads a checkpoint image. A durable
-// follower first seeds its own log with the image (InstallCheckpoint), so
-// its local history carries the same coverage — and epoch table — as the
-// leader's.
+// installSnapshot replaces the database with the image assembled from
+// checkpoint parts, exactly as crash recovery loads a checkpoint image. A
+// durable follower first seeds its own log with the image
+// (InstallCheckpoint), so its local history carries the same coverage —
+// and epoch table — as the leader's. A failure resets the follower.
 func (f *Follower) installSnapshot(parts []wal.CkptPart) error {
-	ck, err := wal.AssembleCheckpoint(parts)
-	if err != nil {
-		return err
-	}
+	f.amu.Lock()
+	var ck *wal.Checkpoint
+	var err error
 	if f.log != nil {
-		if _, err := f.log.InstallCheckpoint(parts); err != nil {
-			return err
-		}
+		ck, err = f.log.InstallCheckpoint(parts)
+	} else {
+		ck, err = wal.AssembleCheckpoint(parts)
 	}
-	eng := engine.New(f.engineConfig())
-	if err := eng.LoadCheckpoint(ck); err != nil {
+	if err == nil {
+		err = f.db.Restore(ck)
+	}
+	if err != nil {
+		discarded, rerr := f.resetLocked()
+		f.amu.Unlock()
+		f.reportReset(discarded, rerr)
 		return err
 	}
-	f.mu.Lock()
-	f.eng = eng
-	f.mu.Unlock()
 	f.smu.Lock()
 	if f.log != nil {
 		f.epoch = f.log.Epoch()
@@ -441,90 +408,76 @@ func (f *Follower) installSnapshot(parts []wal.CkptPart) error {
 		// learn the exact value from in-band epoch records.
 		f.epoch = 0
 	}
-	if f.epoch > f.known {
-		f.known = f.epoch
-	}
+	f.known = max(f.known, f.epoch)
 	f.smu.Unlock()
 	f.advanceTo(ck.Meta.LSN)
 	f.setPrimaryLSN(ck.Meta.LSN)
+	f.amu.Unlock()
 	f.logf("repl: installed checkpoint image at lsn %d", ck.Meta.LSN)
 	return nil
 }
 
 // applyRecord replays one WAL record, enforcing LSN continuity. A durable
-// follower appends the record to its own log before the engine applies it
+// follower's handle appends the record to its log before applying it
 // (log-before-apply: a crash between the two replays the record from the
 // local log at restart). An apply failure resets the follower: partial
 // application of a composed net effect cannot be reconciled in place, but
 // a checkpoint re-bootstrap always can.
 func (f *Follower) applyRecord(m *wire.ReplRecord) error {
-	want := f.AppliedLSN() + 1
-	if m.LSN != want {
+	f.amu.Lock()
+	if want := f.AppliedLSN() + 1; m.LSN != want {
+		f.amu.Unlock()
 		return fmt.Errorf("stream gap: got record lsn %d, want %d", m.LSN, want)
 	}
-	rec, err := wal.RawRecord{LSN: m.LSN, Kind: m.Kind, Payload: m.Payload}.Decode()
-	if err != nil {
-		return fmt.Errorf("decode record lsn %d: %w", m.LSN, err)
-	}
-	f.mu.Lock()
 	if f.Promoted() {
-		f.mu.Unlock()
+		f.amu.Unlock()
 		return fmt.Errorf("promoted mid-stream; discarding record lsn %d", m.LSN)
 	}
-	if f.log != nil {
-		if err := f.log.AppendRaw(wal.RawRecord{LSN: m.LSN, Kind: m.Kind, Payload: m.Payload}); err != nil {
-			f.mu.Unlock()
-			f.reset()
-			return fmt.Errorf("append record lsn %d to local log failed; reset for re-bootstrap: %w", m.LSN, err)
-		}
-	}
-	err = f.eng.ReplayRecord(rec)
-	if err == nil {
-		// Publish per applied record so snapshot-based reads (Query, Dump,
-		// Stats) see replicated state as it arrives. This re-freezes the
-		// touched tables — the next record pays one copy-on-write clone —
-		// which is the price of per-record read visibility; bulk recovery
-		// paths publish once at the end instead (see engine.ReplayRecord).
-		f.eng.PublishSnapshot()
-	}
-	f.mu.Unlock()
+	rec, err := f.db.ApplyRecord(wal.RawRecord{LSN: m.LSN, Kind: m.Kind, Payload: m.Payload})
 	if err != nil {
-		f.reset()
+		discarded, rerr := f.resetLocked()
+		f.amu.Unlock()
+		f.reportReset(discarded, rerr)
 		return fmt.Errorf("apply record lsn %d failed; reset for re-bootstrap: %w", m.LSN, err)
 	}
 	if rec.Kind == wal.KindEpoch {
 		f.smu.Lock()
-		if rec.Epoch.Epoch > f.epoch {
-			f.epoch = rec.Epoch.Epoch
-		}
-		if rec.Epoch.Epoch > f.known {
-			f.known = rec.Epoch.Epoch
-		}
+		f.epoch = max(f.epoch, rec.Epoch.Epoch)
+		f.known = max(f.known, rec.Epoch.Epoch)
 		f.smu.Unlock()
-		f.logf("repl: adopted epoch %d at lsn %d", rec.Epoch.Epoch, m.LSN)
 	}
 	f.advanceTo(m.LSN)
 	f.setPrimaryLSN(m.LSN)
+	f.amu.Unlock()
+	if rec.Kind == wal.KindEpoch {
+		f.logf("repl: adopted epoch %d at lsn %d", rec.Epoch.Epoch, m.LSN)
+	}
 	return nil
 }
 
 // reset discards all replayed state — including a durable follower's
 // local log — so the next join starts from LSN 0 (checkpoint bootstrap).
-// Discarded records are the loud report the tentpole demands: a returning
-// primary's unshipped suffix dies here, visibly.
+// The discarded records are reported loudly: a returning primary's
+// unshipped suffix dies here, visibly.
 func (f *Follower) reset() {
+	f.amu.Lock()
+	discarded, err := f.resetLocked()
+	f.amu.Unlock()
+	f.reportReset(discarded, err)
+}
+
+// resetLocked is reset's work, with amu held; the caller reports its
+// result with reportReset once amu is released.
+func (f *Follower) resetLocked() (discarded uint64, err error) {
 	f.smu.Lock()
-	discarded := f.applied
+	discarded = f.applied
 	f.smu.Unlock()
 	if f.log != nil {
-		if err := f.log.Reset(); err != nil {
-			f.logf("repl: RESET FAILED to clear local log: %v (follower may be unable to recover locally)", err)
-		}
+		err = f.log.Reset()
 	}
-	eng := engine.New(f.engineConfig())
-	f.mu.Lock()
-	f.eng = eng
-	f.mu.Unlock()
+	if rerr := f.db.Restore(nil); err == nil {
+		err = rerr
+	}
 	f.smu.Lock()
 	f.applied = 0
 	f.primaryLSN = 0
@@ -532,6 +485,13 @@ func (f *Follower) reset() {
 	f.resets++
 	f.discarded += int64(discarded)
 	f.smu.Unlock()
+	return discarded, err
+}
+
+func (f *Follower) reportReset(discarded uint64, err error) {
+	if err != nil {
+		f.logf("repl: RESET FAILED: %v (follower may be unable to recover locally)", err)
+	}
 	if discarded > 0 {
 		f.logf("repl: RESET discarded %d locally-held records (history diverged from the leader); rebootstrapping from scratch", discarded)
 	}
@@ -675,51 +635,42 @@ func (f *Follower) Promoted() bool {
 
 // Promote detaches the node from its leader and makes it writable in a
 // new epoch: max(epoch, highest seen + 1), so epochs never move backward.
-// A durable follower appends the epoch record to its own log and attaches
-// the log to its engine — from here on it is a complete primary: commits
-// are logged, siblings can join its Source, sync-commit applies. An
-// in-memory follower promotes too (rules re-enabled, logical-clock LSNs)
-// but ships no WAL: a failover stopgap, its siblings go stale.
-// The returned epoch is the one actually opened.
+// A durable follower appends the epoch record to its own log — from here
+// on it is a complete primary: commits are logged, siblings can join its
+// Source, sync-commit applies. An in-memory follower promotes too (rules
+// re-enabled, logical-clock LSNs) but ships no WAL: a failover stopgap,
+// its siblings go stale. The returned epoch is the one actually opened.
 func (f *Follower) Promote(epoch uint64) (uint64, error) {
-	f.mu.Lock() // exclude an in-flight stream apply
+	f.amu.Lock() // order the epoch record after any in-flight apply
 	f.smu.Lock()
 	if f.promoted {
 		cur := f.known
 		f.smu.Unlock()
-		f.mu.Unlock()
+		f.amu.Unlock()
 		return cur, nil
 	}
-	newEpoch := f.known + 1
-	if epoch > newEpoch {
-		newEpoch = epoch
-	}
+	newEpoch := max(f.known+1, epoch)
 	f.smu.Unlock()
 	if f.log != nil {
 		if _, err := f.log.AppendEpoch(newEpoch); err != nil {
-			f.mu.Unlock()
+			f.amu.Unlock()
 			return 0, fmt.Errorf("repl: promote: %w", err)
 		}
-		if f.eng.WAL() == nil {
-			f.eng.AttachWAL(f.log)
-		}
 	}
-	f.mu.Unlock()
 	f.smu.Lock()
 	f.promoted = true
 	f.fencedBy = 0
 	f.epoch = newEpoch
 	f.known = newEpoch
 	if f.log != nil {
-		if lsn := f.log.NextLSN() - 1; lsn > f.applied {
-			f.applied = lsn
-		}
+		f.applied = max(f.applied, f.log.NextLSN()-1)
 	}
 	if f.appliedCh != nil {
 		close(f.appliedCh) // wake read-your-writes waiters
 		f.appliedCh = nil
 	}
 	f.smu.Unlock()
+	f.amu.Unlock()
 	f.closeConn()
 	f.wakeLoop()
 	f.logf("repl: PROMOTED at lsn %d, epoch %d (durable=%v)", f.AppliedLSN(), newEpoch, f.log != nil)
@@ -766,25 +717,16 @@ func (f *Follower) Follow(leader string, epoch uint64) error {
 // Checkpoint writes the follower's state as a checkpoint image into its
 // own log (durable mode), pruning shipped segments and refreshing the
 // bootstrap image it can serve to siblings.
-func (f *Follower) Checkpoint() error {
-	if f.log == nil {
-		return fmt.Errorf("repl: in-memory follower has no log to checkpoint")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.eng.CheckpointTo(f.log)
-}
+func (f *Follower) Checkpoint() error { return f.db.Checkpoint() }
 
 // Close stops the stream loop and waits for it to exit, then closes the
-// local log (durable mode).
+// database's log (durable mode).
 func (f *Follower) Close() {
 	f.stopOnce.Do(func() { close(f.stop) })
 	f.closeConn()
 	<-f.done
-	if f.log != nil {
-		if err := f.log.Close(); err != nil {
-			f.logf("repl: close follower log: %v", err)
-		}
+	if err := f.db.Close(); err != nil {
+		f.logf("repl: close follower log: %v", err)
 	}
 }
 
@@ -795,6 +737,16 @@ func (f *Follower) Close() {
 // script with full rule processing, like a primary, and — durable, with
 // SyncFollowers configured — holds the ack until enough followers confirm.
 func (f *Follower) Exec(src string) (*sopr.Result, error) {
+	return f.write(func() (*sopr.Result, error) { return f.db.Exec(src) })
+}
+
+// ExecBatch runs a batch of statements as one operation block (see
+// sopr.DB.ExecBatch) behind the same gate and ack hold as Exec.
+func (f *Follower) ExecBatch(stmts []string) (*sopr.Result, error) {
+	return f.write(func() (*sopr.Result, error) { return f.db.ExecBatch(stmts) })
+}
+
+func (f *Follower) write(run func() (*sopr.Result, error)) (*sopr.Result, error) {
 	f.smu.Lock()
 	promoted, fencedBy := f.promoted, f.fencedBy
 	f.smu.Unlock()
@@ -804,21 +756,7 @@ func (f *Follower) Exec(src string) (*sopr.Result, error) {
 		}
 		return nil, ErrReadOnly
 	}
-	var before uint64
-	if f.log != nil {
-		before = f.log.NextLSN() - 1
-	}
-	f.mu.Lock()
-	txn, err := f.eng.Exec(src)
-	f.mu.Unlock()
-	// The engine appends commits without waiting for their fsync; like
-	// sopr.DB, wait outside the lock so concurrent commits share one, and
-	// never acknowledge (or count a follower ack for) an unsynced write.
-	if f.log != nil && txn != nil && txn.LastLSN > 0 {
-		if werr := f.log.WaitDurable(txn.LastLSN); werr != nil && err == nil {
-			err = werr
-		}
-	}
+	res, err := f.commit.exec(run)
 	if f.log != nil {
 		f.advanceTo(f.log.NextLSN() - 1)
 	} else {
@@ -830,49 +768,17 @@ func (f *Follower) Exec(src string) (*sopr.Result, error) {
 		// CodeLagging, not old data.
 		f.advanceTo(f.AppliedLSN() + 1)
 	}
-	res := resultFromTxn(txn)
-	if err == nil && res != nil && f.log != nil && f.src != nil && f.cfg.SyncFollowers > 0 {
-		if lsn := f.log.NextLSN() - 1; lsn > before {
-			if f.src.WaitForAcks(lsn, f.cfg.SyncFollowers, f.cfg.SyncTimeout) {
-				res.Synced = true
-			} else {
-				f.smu.Lock()
-				f.syncTimeouts++
-				f.smu.Unlock()
-				f.logf("repl: WARNING sync-commit wait for %d follower ack(s) at lsn %d timed out after %v; acking async",
-					f.cfg.SyncFollowers, lsn, f.cfg.SyncTimeout)
-			}
-		}
-	}
-	return res, wrapParse(err)
+	return res, err
 }
 
-// Query runs a read-only query against the replayed state.
-func (f *Follower) Query(src string) (*sopr.Rows, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	res, err := f.eng.QueryString(src)
-	if err != nil {
-		return nil, wrapParse(err)
-	}
-	return rowsFromExec(res), nil
-}
+// Query runs a read-only query against the replayed state, lock-free.
+func (f *Follower) Query(src string) (*sopr.Rows, error) { return f.db.Query(src) }
 
-// Dump writes the replayed state as an executable script.
-func (f *Follower) Dump(w io.Writer) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.eng.Dump(w)
-}
+// Dump writes the replayed state as an executable script, lock-free.
+func (f *Follower) Dump(w io.Writer) error { return f.db.Dump(w) }
 
-// Stats reports engine counters for the replayed state. (A follower's
-// engine only replays; the group-commit counters stay zero — its own
-// log's appends are synced by the apply loop, not a commit queue.)
-func (f *Follower) Stats() sopr.Stats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return sopr.Stats(f.eng.Stats())
-}
+// Stats reports the database's counters, lock-free.
+func (f *Follower) Stats() sopr.Stats { return f.db.Stats() }
 
 // ReplStats reports the node's replication position, epoch, and lag.
 func (f *Follower) ReplStats() *wire.ReplStats {
@@ -889,7 +795,7 @@ func (f *Follower) ReplStats() *wire.ReplStats {
 		Leader:           f.leader,
 		Resets:           f.resets,
 		DiscardedRecords: f.discarded,
-		SyncTimeouts:     f.syncTimeouts,
+		SyncTimeouts:     f.commit.timeouts.Load(),
 	}
 	if f.primaryLSN > f.applied {
 		st.Lag = int64(f.primaryLSN - f.applied)

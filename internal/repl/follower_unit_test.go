@@ -46,7 +46,7 @@ func TestApplyFailureResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A DDL record whose script is garbage fails replay.
-	payload, _ := json.Marshal(map[string]any{"sql": "definitely not sql ;"})
+	payload, _ := json.Marshal(map[string]any{"stmt": "definitely not sql ;"})
 	if err := f.applyRecord(&wire.ReplRecord{LSN: 1, Kind: 2, Payload: payload}); err == nil {
 		t.Fatal("unreplayable record accepted")
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,8 +24,8 @@ type PrimaryConfig struct {
 	// Source tunes the WAL stream source (heartbeat cadence, ack timeout).
 	Source SourceConfig
 	// Follower tunes the follower this node becomes if it is demoted
-	// (reconnect backoff, stream timeouts); its Primary and DataDir fields
-	// are ignored — the demoted follower shares this node's engine and log.
+	// (reconnect backoff, stream timeouts); its Primary, DataDir and FS
+	// fields are ignored — the demoted follower keeps this node's database.
 	Follower FollowerConfig
 	// Logf receives primary log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -42,23 +41,22 @@ type PrimaryConfig struct {
 //     history the cluster has moved past.
 //   - synchronous commit: with SyncFollowers > 0, Exec holds the client's
 //     ack until that many followers have acknowledged the commit's LSN.
-//   - demotion: Follow turns the node into a follower of the new leader,
-//     sharing the same engine and log. The rejoin truncates (by reset and
-//     re-bootstrap) any suffix the new leader's history does not share.
+//   - demotion: Follow turns the node into a follower of the new leader
+//     over the same SynchronizedDB and log. The rejoin truncates (by reset
+//     and re-bootstrap) any suffix the new leader's history does not share.
 type Primary struct {
-	cfg PrimaryConfig
-	db  *sopr.DB
-	sdb *sopr.SynchronizedDB
-	log *wal.Log
-	src *Source
+	cfg    PrimaryConfig
+	sdb    *sopr.SynchronizedDB
+	log    *wal.Log
+	src    *Source
+	commit *commitSync
 
-	mu           sync.Mutex
-	fencedAt     uint64    // epoch that fenced this node; 0 while leading
-	demoted      *Follower // non-nil after Follow: all traffic routes here
-	syncTimeouts int64
+	mu       sync.Mutex
+	fencedAt uint64    // epoch that fenced this node; 0 while leading
+	demoted  *Follower // non-nil after Follow: writes and LSN waits route here
 
-	// execWG counts in-flight writes against the shared engine; demotion
-	// waits on it so the follower never races a still-running Exec.
+	// execWG counts in-flight writes; demotion waits on it so the
+	// follower never races a still-running Exec.
 	execWG sync.WaitGroup
 }
 
@@ -73,13 +71,14 @@ func NewPrimary(db *sopr.DB, cfg PrimaryConfig) (*Primary, error) {
 	if cfg.SyncTimeout <= 0 {
 		cfg.SyncTimeout = 2 * time.Second
 	}
-	p := &Primary{cfg: cfg, db: db, sdb: sopr.Synchronized(db), log: l}
+	p := &Primary{cfg: cfg, sdb: sopr.Synchronized(db), log: l}
 	scfg := cfg.Source
 	scfg.OnFenced = p.ObserveEpoch
 	if scfg.Logf == nil {
 		scfg.Logf = cfg.Logf
 	}
 	p.src = NewSource(l, scfg)
+	p.commit = &commitSync{log: l, src: p.src, n: cfg.SyncFollowers, timeout: cfg.SyncTimeout, logf: p.logf}
 	return p, nil
 }
 
@@ -191,7 +190,7 @@ func (p *Primary) Follow(leader string, epoch uint64) error {
 		return &StaleEpochError{Epoch: have}
 	}
 	// Fence before draining: no new Exec can start, and none can be
-	// running once execWG settles — the follower takes the engine cold.
+	// running once execWG settles — the follower takes the database cold.
 	p.fencedAt = epoch
 	p.mu.Unlock()
 	p.execWG.Wait()
@@ -204,7 +203,7 @@ func (p *Primary) Follow(leader string, epoch uint64) error {
 	if fcfg.Logf == nil {
 		fcfg.Logf = p.cfg.Logf
 	}
-	f := newFollowerShared(fcfg, p.db.Engine(), p.log, p.src, epoch)
+	f := newFollower(fcfg, p.sdb, p.log, p.src, epoch)
 	p.mu.Lock()
 	p.demoted = f
 	p.mu.Unlock()
@@ -229,10 +228,7 @@ func (p *Primary) Exec(src string) (*sopr.Result, error) {
 // cluster pays one follower-ack wait per batch instead of per statement.
 func (p *Primary) ExecBatch(stmts []string) (*sopr.Result, error) {
 	return p.execSync(
-		// A demoted node routes to its follower, which refuses writes with
-		// the typed read-only error; joining the batch gives it one script
-		// to refuse.
-		func(f *Follower) (*sopr.Result, error) { return f.Exec(strings.Join(stmts, ";\n")) },
+		func(f *Follower) (*sopr.Result, error) { return f.ExecBatch(stmts) },
 		func() (*sopr.Result, error) { return p.sdb.ExecBatch(stmts) },
 	)
 }
@@ -253,50 +249,18 @@ func (p *Primary) execSync(onFollower func(*Follower) (*sopr.Result, error), run
 	p.execWG.Add(1)
 	p.mu.Unlock()
 	defer p.execWG.Done()
-
-	before := p.log.NextLSN() - 1
-	res, err := run()
-	if err != nil || res == nil || p.cfg.SyncFollowers <= 0 {
-		return res, err
-	}
-	if lsn := p.log.NextLSN() - 1; lsn > before {
-		if p.src.WaitForAcks(lsn, p.cfg.SyncFollowers, p.cfg.SyncTimeout) {
-			res.Synced = true
-		} else {
-			p.mu.Lock()
-			p.syncTimeouts++
-			p.mu.Unlock()
-			p.logf("repl: WARNING sync-commit wait for %d follower ack(s) at lsn %d timed out after %v; acking async",
-				p.cfg.SyncFollowers, lsn, p.cfg.SyncTimeout)
-		}
-	}
-	return res, nil
+	return p.commit.exec(run)
 }
 
-// Query serves reads from the committed snapshot (or the demoted
-// follower's replayed state).
-func (p *Primary) Query(src string) (*sopr.Rows, error) {
-	if f := p.backend(); f != nil {
-		return f.Query(src)
-	}
-	return p.sdb.Query(src)
-}
+// Query serves reads from the committed snapshot — replayed state once
+// demoted, since the follower applies through the same handle.
+func (p *Primary) Query(src string) (*sopr.Rows, error) { return p.sdb.Query(src) }
 
 // Dump writes the committed state as an executable script.
-func (p *Primary) Dump(w io.Writer) error {
-	if f := p.backend(); f != nil {
-		return f.Dump(w)
-	}
-	return p.sdb.Dump(w)
-}
+func (p *Primary) Dump(w io.Writer) error { return p.sdb.Dump(w) }
 
 // Stats reports engine counters.
-func (p *Primary) Stats() sopr.Stats {
-	if f := p.backend(); f != nil {
-		return f.Stats()
-	}
-	return p.sdb.Stats()
-}
+func (p *Primary) Stats() sopr.Stats { return p.sdb.Stats() }
 
 // CurrentLSN reports the last durable LSN (the read-your-writes token).
 func (p *Primary) CurrentLSN() uint64 {
@@ -316,12 +280,7 @@ func (p *Primary) WaitForLSN(lsn uint64, timeout time.Duration) error {
 }
 
 // Checkpoint writes a checkpoint image and prunes shipped segments.
-func (p *Primary) Checkpoint() error {
-	if f := p.backend(); f != nil {
-		return f.Checkpoint()
-	}
-	return p.sdb.Checkpoint()
-}
+func (p *Primary) Checkpoint() error { return p.sdb.Checkpoint() }
 
 // Recovered reports whether the wrapped database recovered prior state.
 func (p *Primary) Recovered() bool { return p.sdb.Recovered() }
@@ -347,8 +306,8 @@ func (p *Primary) ReplStats() *wire.ReplStats {
 	if p.fencedAt > st.Epoch {
 		st.Epoch = p.fencedAt
 	}
-	st.SyncFollowers = p.cfg.SyncFollowers
-	st.SyncTimeouts = p.syncTimeouts
 	p.mu.Unlock()
+	st.SyncFollowers = p.cfg.SyncFollowers
+	st.SyncTimeouts = p.commit.timeouts.Load()
 	return st
 }

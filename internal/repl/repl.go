@@ -9,8 +9,14 @@
 // would have gone. A replica is therefore just a process that runs crash
 // recovery forever — it bootstraps from the newest checkpoint image,
 // applies the record stream in LSN order with rules disabled, and serves
-// queries from the resulting state. The primary keeps the paper's single
-// write stream (Section 2.1); replicas multiply read capacity.
+// queries from the resulting state. Every node holds one
+// sopr.SynchronizedDB for its whole life, whatever its role: the stream is
+// applied through it (ApplyRecord, Restore), reads go to its lock-free
+// snapshot, and a promoted node's writes take its ordinary Exec path.
+// Replay never writes the log, so a durable node's log stays attached to
+// that handle across promotions and demotions. The primary keeps the
+// paper's single write stream (Section 2.1); replicas multiply read
+// capacity.
 //
 // Failover keeps that stream single under partitions with promotion
 // epochs (wal.EpochRecord): every promotion appends an epoch record to
@@ -28,20 +34,20 @@
 // refusing joins from diverged histories (the epoch table makes the check
 // exact), and releasing synchronous commits as follower acks arrive.
 // Follower is the replica side: a reconnecting apply loop plus the server
-// backend (Exec is rejected with ErrReadOnly until promotion). Primary
+// backend (writes are rejected with ErrReadOnly until promotion). Primary
 // wraps a durable sopr.DB as the leader-side server backend, adding
-// fencing, sync-commit waits, and demotion into a shared-engine Follower.
+// fencing, sync-commit waits, and demotion into a Follower over the same
+// handle.
 package repl
 
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"sopr"
-	"sopr/internal/engine"
-	"sopr/internal/exec"
-	"sopr/internal/sqlparse"
-	"sopr/internal/value"
+	"sopr/internal/wal"
 )
 
 // ErrReadOnly rejects writes on a replica. The server maps it to the wire
@@ -82,57 +88,38 @@ func (e *StaleEpochError) Error() string {
 	return fmt.Sprintf("repl: request epoch is older than node epoch %d", e.Epoch)
 }
 
-// rowsFromExec converts an executor result into the public Rows type, the
-// same cell mapping the sopr package applies to local query results.
-func rowsFromExec(res *exec.Result) *sopr.Rows {
-	if res == nil {
-		return nil
+// commitSync is the synchronous-commit ack hold a primary and a promoted
+// durable follower share: with n > 0, a write that appended to log is
+// acknowledged only once n followers of src have acknowledged its LSN, or
+// after timeout, when it degrades to an async ack (Synced=false) and
+// counts a timeout.
+type commitSync struct {
+	log      *wal.Log // nil on an in-memory follower: nothing to wait for
+	src      *Source
+	n        int
+	timeout  time.Duration
+	logf     func(format string, args ...any)
+	timeouts atomic.Int64
+}
+
+// exec runs one write and holds its ack as configured.
+func (c *commitSync) exec(run func() (*sopr.Result, error)) (*sopr.Result, error) {
+	if c.log == nil || c.src == nil || c.n <= 0 {
+		return run()
 	}
-	data := make([][]any, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		vals := make([]any, len(row))
-		for i, v := range row {
-			switch v.Kind() {
-			case value.KindNull:
-				vals[i] = nil
-			case value.KindInt:
-				vals[i] = v.Int()
-			case value.KindFloat:
-				vals[i] = v.Float()
-			case value.KindString:
-				vals[i] = v.Str()
-			case value.KindBool:
-				vals[i] = v.Bool()
-			}
+	before := c.log.NextLSN() - 1
+	res, err := run()
+	if err != nil || res == nil {
+		return res, err
+	}
+	if lsn := c.log.NextLSN() - 1; lsn > before {
+		if c.src.WaitForAcks(lsn, c.n, c.timeout) {
+			res.Synced = true
+		} else {
+			c.timeouts.Add(1)
+			c.logf("repl: WARNING sync-commit wait for %d follower ack(s) at lsn %d timed out after %v; acking async",
+				c.n, lsn, c.timeout)
 		}
-		data = append(data, vals)
 	}
-	return sopr.NewRows(res.Columns, data)
-}
-
-// resultFromTxn converts an engine transaction result into the public
-// Result type (used by a promoted follower's write path).
-func resultFromTxn(txn *engine.TxnResult) *sopr.Result {
-	if txn == nil {
-		return nil
-	}
-	res := &sopr.Result{RolledBack: txn.RolledBack, RollbackRule: txn.RollbackRule}
-	for _, f := range txn.Firings {
-		res.Firings = append(res.Firings, sopr.Firing{Rule: f.Rule, Effect: f.Effect})
-	}
-	for _, q := range txn.Queries {
-		res.Results = append(res.Results, rowsFromExec(q))
-	}
-	return res
-}
-
-// wrapParse converts internal syntax errors to the public ParseError, as
-// the sopr package does for local execution, so the server reports the
-// offending line for scripts rejected by a replica.
-func wrapParse(err error) error {
-	var se *sqlparse.SyntaxError
-	if errors.As(err, &se) {
-		return &sopr.ParseError{Line: se.Line, Col: se.Col, Msg: se.Msg}
-	}
-	return err
+	return res, nil
 }

@@ -35,12 +35,16 @@ import (
 	"sopr/internal/wire"
 )
 
-// DB is the backend a Server serves from: a primary's SynchronizedDB or a
-// replica's repl.Follower. Exec lands on the backend's exclusive write
-// path (one operation-block stream, per the paper's Section 2.1); Query,
+// DB is the backend a Server serves from: a SynchronizedDB, a
+// repl.Primary or a repl.Follower. Exec and ExecBatch land on the
+// backend's exclusive write path (one operation-block stream, per the
+// paper's Section 2.1); ExecBatch runs its statements as one operation
+// block (one engine pass, one commit record, one shared fsync), and a
+// read-only follower refuses both with its typed read_only error. Query,
 // Dump, and Stats are read-only.
 type DB interface {
 	Exec(src string) (*sopr.Result, error)
+	ExecBatch(stmts []string) (*sopr.Result, error)
 	Query(src string) (*sopr.Rows, error)
 	Dump(w io.Writer) error
 	Stats() sopr.Stats
@@ -48,16 +52,6 @@ type DB interface {
 
 // Optional backend capabilities, discovered by interface assertion:
 //
-// BatchExecer lets a backend run a list of data-manipulation statements as
-// one operation block (one engine pass, one commit record, one shared
-// fsync). SynchronizedDB and repl.Primary implement it; a backend without
-// it serves MsgExecBatch by joining the statements into one script — still
-// a single block, just via the script path. Read-only followers reject
-// either way with their typed read_only error.
-type BatchExecer interface {
-	ExecBatch(stmts []string) (*sopr.Result, error)
-}
-
 // CurrentLSNer lets the server attach the durable LSN to exec responses —
 // the read-your-writes token clients carry to replica reads.
 type CurrentLSNer interface {
@@ -431,16 +425,7 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 		if proceed, alive := s.gateEpoch(c, req.Epoch); !proceed {
 			return alive
 		}
-		var res *sopr.Result
-		var err error
-		if be, ok := s.db.(BatchExecer); ok {
-			res, err = be.ExecBatch(req.Stmts)
-		} else {
-			// Joining the statements into one script is semantically the
-			// same single operation block — just without the batch entry
-			// point's cheaper path.
-			res, err = s.db.Exec(strings.Join(req.Stmts, ";\n"))
-		}
+		res, err := s.db.ExecBatch(req.Stmts)
 		if err != nil {
 			return s.writeError(c, execError(err))
 		}

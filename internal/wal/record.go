@@ -60,11 +60,11 @@ const maxRecordSize = 256 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Cell is one tuple value with an explicit kind tag, mirroring the wire
-// protocol's encoding: "" (SQL NULL), "i" (int64), "f" (float64), "s"
-// (string), "b" (bool). JSON alone cannot round-trip the engine's
-// int64/float64 distinction, and recovery must land on a byte-identical
-// state.
+// Cell is one tuple value with an explicit kind tag: "" (SQL NULL), "i"
+// (int64), "f" (float64), "s" (string), "b" (bool). JSON alone cannot
+// round-trip the engine's int64/float64 distinction, and recovery must
+// land on a byte-identical state. The wire protocol encodes result cells
+// with this same type (wire.Cell).
 type Cell struct {
 	Kind string  `json:"k,omitempty"`
 	Int  int64   `json:"i,omitempty"`

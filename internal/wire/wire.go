@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"sopr/internal/wal"
 )
 
 // Message types. Requests have the high bit clear, responses have it set;
@@ -224,51 +226,9 @@ type ErrorResponse struct {
 // ---------------------------------------------------------------------------
 
 // Cell is one result-set value with an explicit kind tag: "" (SQL NULL),
-// "i" (int64), "f" (float64), "s" (string), or "b" (bool).
-type Cell struct {
-	Kind string  `json:"k,omitempty"`
-	Int  int64   `json:"i,omitempty"`
-	Flt  float64 `json:"f,omitempty"`
-	Str  string  `json:"s,omitempty"`
-	Bool bool    `json:"b,omitempty"`
-}
-
-// CellOf encodes one engine cell value (nil, int64, float64, string or
-// bool — the types sopr.Rows.Data produces).
-func CellOf(v any) (Cell, error) {
-	switch x := v.(type) {
-	case nil:
-		return Cell{}, nil
-	case int64:
-		return Cell{Kind: "i", Int: x}, nil
-	case float64:
-		return Cell{Kind: "f", Flt: x}, nil
-	case string:
-		return Cell{Kind: "s", Str: x}, nil
-	case bool:
-		return Cell{Kind: "b", Bool: x}, nil
-	default:
-		return Cell{}, fmt.Errorf("wire: cannot encode cell of type %T", v)
-	}
-}
-
-// Value decodes the cell back to the engine's representation.
-func (c Cell) Value() (any, error) {
-	switch c.Kind {
-	case "":
-		return nil, nil
-	case "i":
-		return c.Int, nil
-	case "f":
-		return c.Flt, nil
-	case "s":
-		return c.Str, nil
-	case "b":
-		return c.Bool, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown cell kind %q", c.Kind)
-	}
-}
+// "i" (int64), "f" (float64), "s" (string), or "b" (bool). It is the
+// write-ahead log's cell, so results and logged tuples share one encoding.
+type Cell = wal.Cell
 
 // RowsOf encodes a column/data result set (the sopr.Rows layout).
 func RowsOf(columns []string, data [][]any) (Rows, error) {
@@ -276,7 +236,7 @@ func RowsOf(columns []string, data [][]any) (Rows, error) {
 	for _, row := range data {
 		cells := make([]Cell, len(row))
 		for i, v := range row {
-			c, err := CellOf(v)
+			c, err := wal.CellOf(v)
 			if err != nil {
 				return Rows{}, err
 			}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"sopr/internal/wal"
 )
 
 // TestFrameRoundTripProperty writes pseudo-random frames of many sizes and
@@ -155,7 +157,7 @@ func TestCellRoundTrip(t *testing.T) {
 	if _, ok := gotData[0][2].(float64); !ok {
 		t.Errorf("float cell decoded as %T", gotData[0][2])
 	}
-	if _, err := CellOf(struct{}{}); err == nil {
+	if _, err := wal.CellOf(struct{}{}); err == nil {
 		t.Error("CellOf accepted an unsupported type")
 	}
 	if _, err := (Cell{Kind: "z"}).Value(); err == nil {
