@@ -105,7 +105,7 @@ type ReplStats struct {
 	PrimaryLSN       uint64 // replica's last view of the primary's LSN
 	Lag              int64  // PrimaryLSN - LSN on a replica
 	Connected        bool   // replica's stream to the primary is up
-	Promoted         bool   // node was promoted from replica to writable
+	Promoted         bool   // node leads an epoch a promotion opened
 	Followers        int    // connected stream sessions on a primary
 	MinFollowerLSN   uint64 // lowest acked LSN across followers (retention horizon)
 	Epoch            uint64 // node's promotion epoch (0 before any failover)
@@ -351,7 +351,7 @@ func (c *Client) Stats() (*Stats, error) {
 		return nil, err
 	}
 	return &Stats{
-		Engine: sopr.Stats(resp.Engine),
+		Engine: resp.Engine,
 		Server: ServerStats(resp.Server),
 		Repl:   replStats(resp.Repl),
 	}, nil

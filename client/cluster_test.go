@@ -20,7 +20,7 @@ const clusterSchema = `create table kv (k string, v int);`
 
 type clusterNodes struct {
 	primaryAddr string
-	sdb         *sopr.SynchronizedDB
+	leader      *repl.Node
 	db          *sopr.DB
 	psrv        *server.Server
 	replicas    []*replicaNode
@@ -28,7 +28,7 @@ type clusterNodes struct {
 
 type replicaNode struct {
 	addr string
-	fl   *repl.Follower
+	fl   *repl.Node
 	srv  *server.Server
 }
 
@@ -38,20 +38,22 @@ func startCluster(t *testing.T, nReplicas int) *clusterNodes {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdb := sopr.Synchronized(db)
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond})
-	psrv := server.New(sdb, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	leader, err := repl.NewLeader(db, repl.Config{Heartbeat: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	psrv := server.New(leader, server.Config{ReplWaitTimeout: 2 * time.Second})
 	pln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go psrv.Serve(pln)
-	cn := &clusterNodes{primaryAddr: pln.Addr().String(), sdb: sdb, db: db, psrv: psrv}
+	cn := &clusterNodes{primaryAddr: pln.Addr().String(), leader: leader, db: db, psrv: psrv}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = cn.psrv.Shutdown(ctx)
-		_ = sdb.Close()
+		_ = leader.Close()
 	})
 	for i := 0; i < nReplicas; i++ {
 		cn.addReplica(t, "")
@@ -63,8 +65,7 @@ func startCluster(t *testing.T, nReplicas int) *clusterNodes {
 // dir makes it durable (own WAL, preferred at failover ties).
 func (cn *clusterNodes) addReplica(t *testing.T, dir string) *replicaNode {
 	t.Helper()
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:      cn.primaryAddr,
+	fl, err := repl.NewFollower(cn.primaryAddr, repl.Config{
 		DataDir:      dir,
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 200 * time.Millisecond,
@@ -221,7 +222,7 @@ func TestClusterFailover(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.leader.Close()
 
 	res, err := cl.Exec(`insert into kv values ('b', 2);`)
 	if err != nil {
@@ -271,7 +272,7 @@ func TestClusterDialAfterPrimaryDeathPromotes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.leader.Close()
 
 	cl, err := client.DialCluster(cn.addrs())
 	if err != nil {
@@ -321,7 +322,7 @@ func TestClusterFailoverPrefersDurableReplica(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.leader.Close()
 
 	res, err := cl.Exec(`insert into kv values ('b', 2);`)
 	if err != nil {
@@ -376,7 +377,7 @@ func TestClusterFailoverTieBreakDeterministic(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.leader.Close()
 
 	if _, err := cl.Exec(`insert into kv values ('b', 2);`); err != nil {
 		t.Fatalf("exec after primary death: %v", err)

@@ -52,17 +52,17 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 	defer os.RemoveAll(dir)
 	db, err := sopr.OpenDurable(dir, sopr.WithFsync(sopr.FsyncNever))
 	must(err)
-	sdb := sopr.Synchronized(db)
-	defer sdb.Close()
-	sdb.MustExec(`create table t (id int, v int); create table audit (id int, v int)`)
-	sdb.MustExec(b1Rule)
+	db.MustExec(`create table t (id int, v int); create table audit (id int, v int)`)
+	db.MustExec(b1Rule)
 	const rows = 4000
 	for base := 0; base < rows; base += 500 {
-		sdb.MustExec(insertScript(base, 500))
+		db.MustExec(insertScript(base, 500))
 	}
 
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 100 * time.Millisecond})
-	psrv := server.New(sdb, server.Config{Repl: src})
+	leader, err := repl.NewLeader(db, repl.Config{Heartbeat: 100 * time.Millisecond})
+	must(err)
+	defer leader.Close()
+	psrv := server.New(leader, server.Config{})
 	pln, err := server.Listen("127.0.0.1:0")
 	must(err)
 	go psrv.Serve(pln)
@@ -74,12 +74,9 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 	}
 	defer shutdown(psrv)
 
-	followers := make([]*repl.Follower, nrep)
+	followers := make([]*repl.Node, nrep)
 	for i := range followers {
-		fl, err := repl.NewFollower(repl.FollowerConfig{
-			Primary:     pln.Addr().String(),
-			AckInterval: 20 * time.Millisecond,
-		})
+		fl, err := repl.NewFollower(pln.Addr().String(), repl.Config{AckInterval: 20 * time.Millisecond})
 		must(err)
 		go fl.Run()
 		defer fl.Close()

@@ -45,10 +45,10 @@ func s5run(n, txns int) (tps, usPerTxn, syncedPct float64) {
 	defer os.RemoveAll(dir)
 	db, err := sopr.OpenDurable(dir, sopr.WithFsync(sopr.FsyncNever))
 	must(err)
-	p, err := repl.NewPrimary(db, repl.PrimaryConfig{
+	p, err := repl.NewLeader(db, repl.Config{
 		SyncFollowers: n,
 		SyncTimeout:   5 * time.Second,
-		Source:        repl.SourceConfig{Heartbeat: 100 * time.Millisecond},
+		Heartbeat:     100 * time.Millisecond,
 	})
 	must(err)
 	defer func() { must(p.Close()) }()
@@ -67,8 +67,7 @@ func s5run(n, txns int) (tps, usPerTxn, syncedPct float64) {
 		fdir, err := os.MkdirTemp("", "soprbench-s5-f-*")
 		must(err)
 		defer os.RemoveAll(fdir)
-		fl, err := repl.NewFollower(repl.FollowerConfig{
-			Primary:     pln.Addr().String(),
+		fl, err := repl.NewFollower(pln.Addr().String(), repl.Config{
 			DataDir:     fdir,
 			AckInterval: 5 * time.Millisecond,
 		})

@@ -200,11 +200,18 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		cfg.Logf = logger.Printf
 	}
 
-	var backend server.DB
 	durable := o.dataDir != ""
-	// checkpoint and shutdown route through whichever backend owns the log.
-	var checkpoint func() error
-	var shutdown func()
+	rcfg := repl.Config{
+		SyncFollowers:      o.syncFollowers,
+		SyncTimeout:        o.syncTimeout,
+		SelectTriggers:     o.selectTriggers,
+		MaxRuleTransitions: o.maxTransitions,
+		Logf:               logger.Printf,
+	}
+	var backend server.DB
+	// node is the replication node — a -follow replica or a durable
+	// primary — and nil for an in-memory primary, which ships no WAL.
+	var node *repl.Node
 	if o.follow != "" {
 		// A replica bootstraps from the primary's checkpoint and replays
 		// its stream, so an init script would only be silently ignored —
@@ -220,25 +227,16 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		if o.syncFollowers > 0 && !durable {
 			return fmt.Errorf("-sync-followers needs -data: only a durable follower can lead after promotion")
 		}
-		fl, err := repl.NewFollower(repl.FollowerConfig{
-			Primary:            o.follow,
-			DataDir:            o.dataDir,
-			SyncFollowers:      o.syncFollowers,
-			SyncTimeout:        o.syncTimeout,
-			SelectTriggers:     o.selectTriggers,
-			MaxRuleTransitions: o.maxTransitions,
-			Logf:               logger.Printf,
-		})
+		rcfg.DataDir = o.dataDir
+		n, err := repl.NewFollower(o.follow, rcfg)
 		if err != nil {
 			return err
 		}
-		go fl.Run()
-		defer fl.Close()
-		backend = fl
+		go n.Run()
+		node = n
 		if durable {
-			checkpoint = fl.Checkpoint
 			logger.Printf("replica: following %s (durable, %s, applied lsn %d, epoch %d)",
-				o.follow, o.dataDir, fl.AppliedLSN(), fl.KnownEpoch())
+				o.follow, o.dataDir, n.AppliedLSN(), n.Epoch())
 		} else {
 			logger.Printf("replica: following %s", o.follow)
 		}
@@ -247,43 +245,38 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		if err != nil {
 			return err
 		}
+		if o.trace {
+			db.TraceTo(os.Stderr)
+		}
 		if durable {
 			// A durable primary ships its WAL to any replica that joins,
 			// fences itself when the cluster elects a newer epoch, and —
 			// with -sync-followers — holds commit acks for follower acks.
-			p, err := repl.NewPrimary(db, repl.PrimaryConfig{
-				SyncFollowers: o.syncFollowers,
-				SyncTimeout:   o.syncTimeout,
-				Logf:          logger.Printf,
-			})
-			if err != nil {
+			if node, err = repl.NewLeader(db, rcfg); err != nil {
 				_ = db.Close()
 				return err
 			}
-			defer func() { _ = p.Close() }() // error paths below close explicitly
-			if o.trace {
-				p.DB().TraceTo(os.Stderr)
-			}
-			backend = p
-			checkpoint = p.Checkpoint
-			shutdown = func() {
-				if err := p.Checkpoint(); err != nil {
-					logger.Printf("final checkpoint: %v", err)
-				}
-				if err := p.Close(); err != nil {
-					logger.Printf("close log: %v", err)
-				}
-			}
 		} else {
 			if o.syncFollowers > 0 {
+				_ = db.Close()
 				return fmt.Errorf("-sync-followers needs -data: an in-memory server ships no WAL")
 			}
 			sdb := sopr.Synchronized(db)
 			defer func() { _ = sdb.Close() }()
-			if o.trace {
-				sdb.TraceTo(os.Stderr)
-			}
 			backend = sdb
+		}
+	}
+	// checkpoint compacts the log while serving and once more at shutdown.
+	var checkpoint func() error
+	if node != nil {
+		backend = node
+		defer func() {
+			if err := node.Close(); err != nil {
+				logger.Printf("close: %v", err)
+			}
+		}()
+		if durable {
+			checkpoint = node.Checkpoint
 		}
 	}
 
@@ -334,11 +327,9 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		<-serveDone
 		close(ckptStop)
 		<-ckptDone
-		if shutdown != nil {
-			shutdown()
-		} else if checkpoint != nil {
-			// A durable follower: persist its state as a checkpoint image
-			// so the next start replays only the records since.
+		if checkpoint != nil {
+			// Persist the state as a checkpoint image so the next start
+			// replays only the records since.
 			if err := checkpoint(); err != nil {
 				logger.Printf("final checkpoint: %v", err)
 			}

@@ -127,12 +127,12 @@ func (lp *linkProxy) session(down net.Conn) {
 	up.Close()
 }
 
-// chaosNode is one server-fronted node: either a repl.Primary or a
-// repl.Follower behind a server.Server.
+// chaosNode is one server-fronted repl.Node: p is set on a node started
+// as the leader, fl on one started as a follower.
 type chaosNode struct {
 	addr string
-	p    *repl.Primary
-	fl   *repl.Follower
+	p    *repl.Node
+	fl   *repl.Node
 	srv  *server.Server
 }
 
@@ -156,17 +156,14 @@ func startChaosPrimary(t *testing.T, dir string, syncFollowers int, syncTimeout 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := repl.NewPrimary(db, repl.PrimaryConfig{
+	p, err := repl.NewLeader(db, repl.Config{
 		SyncFollowers: syncFollowers,
 		SyncTimeout:   syncTimeout,
-		Source:        repl.SourceConfig{Heartbeat: 25 * time.Millisecond},
-		Follower: repl.FollowerConfig{
-			ReconnectMin: 10 * time.Millisecond,
-			ReconnectMax: 200 * time.Millisecond,
-			AckInterval:  10 * time.Millisecond,
-			Logf:         t.Logf,
-		},
-		Logf: t.Logf,
+		Heartbeat:     25 * time.Millisecond,
+		ReconnectMin:  10 * time.Millisecond,
+		ReconnectMax:  200 * time.Millisecond,
+		AckInterval:   10 * time.Millisecond,
+		Logf:          t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +183,7 @@ func startChaosPrimary(t *testing.T, dir string, syncFollowers int, syncTimeout 
 // durable (its own WAL, promotable into a stream source).
 func startChaosFollower(t *testing.T, upstream, dir string, syncFollowers int, syncTimeout time.Duration) *chaosNode {
 	t.Helper()
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:       upstream,
+	fl, err := repl.NewFollower(upstream, repl.Config{
 		DataDir:       dir,
 		SyncFollowers: syncFollowers,
 		SyncTimeout:   syncTimeout,

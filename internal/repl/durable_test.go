@@ -17,8 +17,7 @@ import (
 // persists the stream into its own WAL and recovers from it at startup.
 func startReplicaDir(t *testing.T, primaryAddr, dir string) *replica {
 	t.Helper()
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:      primaryAddr,
+	fl, err := repl.NewFollower(primaryAddr, repl.Config{
 		DataDir:      dir,
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 250 * time.Millisecond,
@@ -62,8 +61,7 @@ func TestDurableFollowerRestartResumesLocally(t *testing.T) {
 
 	// Recovery happens in NewFollower, before Run ever dials: the applied
 	// position must already be there.
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:      p.addr,
+	fl, err := repl.NewFollower(p.addr, repl.Config{
 		DataDir:      fdir,
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 250 * time.Millisecond,
@@ -152,10 +150,13 @@ func TestIdleAckReleasesRetentionPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdb := sopr.Synchronized(db)
-	defer sdb.Close()
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 30 * time.Second, Logf: t.Logf})
-	srv := server.New(sdb, server.Config{Repl: src})
+	leader, err := repl.NewLeader(db, repl.Config{Heartbeat: 30 * time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	src := leader.ReplSource()
+	srv := server.New(leader, server.Config{})
 	ln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +164,7 @@ func TestIdleAckReleasesRetentionPromptly(t *testing.T) {
 	go srv.Serve(ln)
 	defer func() { _ = ln.Close() }()
 
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:       ln.Addr().String(),
+	fl, err := repl.NewFollower(ln.Addr().String(), repl.Config{
 		ReconnectMin:  10 * time.Millisecond,
 		ReconnectMax:  250 * time.Millisecond,
 		AckInterval:   20 * time.Millisecond,
@@ -177,13 +177,13 @@ func TestIdleAckReleasesRetentionPromptly(t *testing.T) {
 	defer fl.Close()
 	go fl.Run()
 
-	if _, err := sdb.Exec(testSchema); err != nil {
+	if _, err := leader.Exec(testSchema); err != nil {
 		t.Fatal(err)
 	}
 	// A quick burst, then silence: the final LSN's ack can only come from
 	// the idle timer.
 	for i := 0; i < 5; i++ {
-		if _, err := sdb.Exec(`insert into emp values ('burst', 1, 1, 0);`); err != nil {
+		if _, err := leader.Exec(`insert into emp values ('burst', 1, 1, 0);`); err != nil {
 			t.Fatal(err)
 		}
 	}

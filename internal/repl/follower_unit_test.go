@@ -15,7 +15,7 @@ import (
 // applied+1 means the stream skipped or repeated something — the
 // follower must refuse it rather than apply out of order.
 func TestApplyRecordRejectsGaps(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
+	f, err := NewFollower("unused:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestApplyRecordRejectsGaps(t *testing.T) {
 // leaves the follower reset to lsn 0, forcing a checkpoint re-bootstrap
 // instead of serving half-applied state.
 func TestApplyFailureResets(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
+	f, err := NewFollower("unused:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestApplyFailureResets(t *testing.T) {
 }
 
 func TestWaitForLSN(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
+	f, err := NewFollower("unused:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestWaitForLSN(t *testing.T) {
 }
 
 func TestExecReadOnlyUntilPromoted(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
+	f, err := NewFollower("unused:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestExecReadOnlyUntilPromoted(t *testing.T) {
 // write.
 func TestPromotedDurableFollowerAcksOnlySyncedCommits(t *testing.T) {
 	fs := wal.NewMemFS()
-	cfg := FollowerConfig{Primary: "unused:0", DataDir: "data", FS: fs}
-	f, err := NewFollower(cfg)
+	cfg := Config{DataDir: "data", FS: fs}
+	f, err := NewFollower("unused:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPromotedDurableFollowerAcksOnlySyncedCommits(t *testing.T) {
 	}
 	fs.DropUnsynced() // crash: the old follower is abandoned, not closed
 
-	f2, err := NewFollower(cfg)
+	f2, err := NewFollower("unused:0", cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

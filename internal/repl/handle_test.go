@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sopr"
 	"sopr/client"
 	"sopr/internal/repl"
 	"sopr/internal/wire"
@@ -230,5 +231,91 @@ func TestFollowerReadsConcurrentWithApply(t *testing.T) {
 	}
 	if b.String() != p.dump(t) {
 		t.Fatal("replica diverged from the primary")
+	}
+}
+
+// TestPromoteOpensRequestedEpoch: Promote(e) leads in at least epoch e,
+// whether the node leads because it was started as the leader or because
+// it was promoted from a follower.
+func TestPromoteOpensRequestedEpoch(t *testing.T) {
+	db, err := sopr.OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := repl.NewLeader(db, repl.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	promoted, err := repl.NewFollower("unused:0", repl.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := promoted.Promote(0); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*repl.Node{"leader": leader, "promoted follower": promoted} {
+		want := n.Epoch() + 5
+		got, err := n.Promote(want)
+		if err != nil || got != want {
+			t.Errorf("%s: Promote(%d) = %d, %v; want %d", name, want, got, err, want)
+		}
+		if again, err := n.Promote(want); err != nil || again != want {
+			t.Errorf("%s: repeated Promote(%d) = %d, %v; want %d", name, want, again, err, want)
+		}
+	}
+}
+
+// TestRefreshDemotesFencedExFollower: a follower that was promoted and
+// then fenced reports itself as a fenced leader, so a cluster refresh
+// demotes it under the real leader — as it does a fenced node that was
+// started as the leader — instead of leaving it fenced and streaming from
+// its upstream from before the promotion.
+func TestRefreshDemotesFencedExFollower(t *testing.T) {
+	base := t.TempDir()
+	p := startChaosPrimary(t, filepath.Join(base, "p"), 0, time.Second)
+	f := startChaosFollower(t, p.addr, filepath.Join(base, "f"), 0, time.Second)
+	g := startChaosFollower(t, p.addr, filepath.Join(base, "g"), 0, time.Second)
+	execOn(t, dialNode(t, p.addr), testSchema+`insert into emp values ('a', 1, 1, 0);`)
+	loggedOnce(t, "follower f", f.fl.ReplStats, f.fl.ReplSource(), p.p.CurrentLSN())
+	loggedOnce(t, "follower g", g.fl.ReplStats, g.fl.ReplSource(), p.p.CurrentLSN())
+
+	// f leads e1, and g and p follow it.
+	e1, err := f.fl.Promote(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.fl.Follow(f.addr, e1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.p.Follow(f.addr, e1); err != nil {
+		t.Fatal(err)
+	}
+	execOn(t, dialNode(t, f.addr), `insert into emp values ('b', 2, 2, 0);`)
+	loggedOnce(t, "follower g", g.fl.ReplStats, g.fl.ReplSource(), f.fl.CurrentLSN())
+
+	// g leads e2 and p follows it; f learns of e2 and is fenced.
+	e2, err := g.fl.Promote(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.p.Follow(g.addr, e2); err != nil {
+		t.Fatal(err)
+	}
+	f.fl.ObserveEpoch(e2)
+	execOn(t, dialNode(t, g.addr), `insert into emp values ('c', 3, 3, 0);`)
+
+	cl, err := client.DialCluster([]string{p.addr, f.addr, g.addr}, client.WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	waitFor(t, "fenced ex-follower demoted under the new leader", func() bool {
+		cl.Refresh()
+		st := f.fl.ReplStats()
+		return !st.Fenced && st.Leader == g.addr && st.LSN >= g.fl.CurrentLSN()
+	})
+	if gd, fd := g.dump(t), f.dump(t); gd != fd {
+		t.Fatalf("dumps differ:\nleader:\n%s\ndemoted ex-follower:\n%s", gd, fd)
 	}
 }

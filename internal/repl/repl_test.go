@@ -32,7 +32,7 @@ then update emp set bonus = 100 where name in (select name from inserted emp) en
 // primary is a durable soprd-shaped node under test.
 type primary struct {
 	addr string
-	sdb  *sopr.SynchronizedDB
+	node *repl.Node
 	db   *sopr.DB
 	srv  *server.Server
 }
@@ -43,17 +43,26 @@ func startPrimary(t *testing.T, dir string) *primary {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	sdb := sopr.Synchronized(db)
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
-	srv := server.New(sdb, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	node := startLeader(t, db)
+	srv := server.New(node, server.Config{ReplWaitTimeout: 2 * time.Second})
 	ln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	go srv.Serve(ln)
-	p := &primary{addr: ln.Addr().String(), sdb: sdb, db: db, srv: srv}
+	p := &primary{addr: ln.Addr().String(), node: node, db: db, srv: srv}
 	t.Cleanup(func() { p.stop(t) })
 	return p
+}
+
+// startLeader runs an open durable database as a leading node.
+func startLeader(t *testing.T, db *sopr.DB) *repl.Node {
+	t.Helper()
+	node, err := repl.NewLeader(db, repl.Config{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("NewLeader: %v", err)
+	}
+	return node
 }
 
 // restart brings a stopped primary back on its old address and data dir.
@@ -63,9 +72,8 @@ func restartPrimary(t *testing.T, dir, addr string) *primary {
 	if err != nil {
 		t.Fatalf("reopen durable: %v", err)
 	}
-	sdb := sopr.Synchronized(db)
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
-	srv := server.New(sdb, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	node := startLeader(t, db)
+	srv := server.New(node, server.Config{ReplWaitTimeout: 2 * time.Second})
 	var ln net.Listener
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -79,7 +87,7 @@ func restartPrimary(t *testing.T, dir, addr string) *primary {
 		time.Sleep(20 * time.Millisecond)
 	}
 	go srv.Serve(ln)
-	p := &primary{addr: addr, sdb: sdb, db: db, srv: srv}
+	p := &primary{addr: addr, node: node, db: db, srv: srv}
 	t.Cleanup(func() { p.stop(t) })
 	return p
 }
@@ -92,13 +100,13 @@ func (p *primary) stop(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = p.srv.Shutdown(ctx)
-	_ = p.sdb.Close()
+	_ = p.node.Close()
 	p.srv = nil
 }
 
 func (p *primary) exec(t *testing.T, src string) *sopr.Result {
 	t.Helper()
-	res, err := p.sdb.Exec(src)
+	res, err := p.node.Exec(src)
 	if err != nil {
 		t.Fatalf("primary exec: %v", err)
 	}
@@ -108,7 +116,7 @@ func (p *primary) exec(t *testing.T, src string) *sopr.Result {
 func (p *primary) dump(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	if err := p.sdb.Dump(&b); err != nil {
+	if err := p.node.Dump(&b); err != nil {
 		t.Fatalf("primary dump: %v", err)
 	}
 	return b.String()
@@ -117,14 +125,13 @@ func (p *primary) dump(t *testing.T) string {
 // replica is a follower plus the server that fronts it.
 type replica struct {
 	addr string
-	fl   *repl.Follower
+	fl   *repl.Node
 	srv  *server.Server
 }
 
 func startReplica(t *testing.T, primaryAddr string) *replica {
 	t.Helper()
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:      primaryAddr,
+	fl, err := repl.NewFollower(primaryAddr, repl.Config{
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 250 * time.Millisecond,
 		AckInterval:  10 * time.Millisecond,
@@ -242,7 +249,7 @@ func TestCheckpointBootstrap(t *testing.T) {
 		p.exec(t, fmt.Sprintf(`insert into emp values ('e%d', %d, 1000, 0);`, i, i))
 	}
 	// Checkpoint rotates and prunes: LSN 1 is no longer in any segment.
-	if err := p.sdb.Checkpoint(); err != nil {
+	if err := p.node.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	p.exec(t, `insert into emp values ('late', 99, 1, 0);`) // tail after the image
@@ -272,7 +279,7 @@ func TestFollowerKillRejoin(t *testing.T) {
 	r.stop(t) // follower dies; its pin is released
 
 	p.exec(t, `insert into emp values ('b', 2, 2, 0);`)
-	if err := p.sdb.Checkpoint(); err != nil { // prune past the dead follower
+	if err := p.node.Checkpoint(); err != nil { // prune past the dead follower
 		t.Fatalf("checkpoint: %v", err)
 	}
 	p.exec(t, `insert into emp values ('c', 3, 3, 0);`)
@@ -384,14 +391,23 @@ func TestPromoteMakesReplicaWritable(t *testing.T) {
 	if err != nil || st.Repl == nil || !st.Repl.Promoted {
 		t.Fatalf("promoted stats = %+v, err %v", st.Repl, err)
 	}
-	// Promoting a primary is refused.
-	pc, err := client.Dial(p.addr)
+	// Promoting the leading primary opens no epoch: it answers with the
+	// epoch it already leads in (0 here; the replica's promotion has not
+	// reached it).
+	if epoch, _, err := dialNode(t, p.addr).PromoteTo(0); err != nil || epoch != 0 {
+		t.Fatalf("promote on leading primary = epoch %d, err %v; want epoch 0, no error", epoch, err)
+	}
+	// A server over a plain database is no replication node: promotion is
+	// refused.
+	plain := server.New(sopr.Synchronized(sopr.Open()), server.Config{})
+	ln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pc.Close()
-	if err := pc.Promote(); !client.IsRemote(err, "") {
-		t.Fatalf("promote on primary = %v, want remote error", err)
+	go plain.Serve(ln)
+	defer shutdownServer(t, plain)
+	if err := dialNode(t, ln.Addr().String()).Promote(); !client.IsRemote(err, "") {
+		t.Fatalf("promote on a plain database = %v, want remote error", err)
 	}
 }
 
@@ -488,7 +504,7 @@ func TestTornStreamNeverDiverges(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.exec(t, fmt.Sprintf(`insert into emp values ('pre%d', %d, 100, 0);`, i, i))
 	}
-	if err := p.sdb.Checkpoint(); err != nil { // force the bootstrap path through the proxy
+	if err := p.node.Checkpoint(); err != nil { // force the bootstrap path through the proxy
 		t.Fatal(err)
 	}
 

@@ -11,57 +11,35 @@ import (
 	"sopr/internal/wire"
 )
 
-// SourceConfig tunes the leader side of replication.
-type SourceConfig struct {
-	// Heartbeat is how often an idle stream sends MsgReplHeartbeat
-	// (default 1s). Followers size their read deadlines from it.
-	Heartbeat time.Duration
-	// WriteTimeout bounds each stream frame write (default 30s).
-	WriteTimeout time.Duration
-	// AckTimeout bounds the silence tolerated on the upstream ack channel
-	// (default 10x Heartbeat, at least 30s). A follower that stops acking
-	// is disconnected so it cannot pin WAL retention forever.
-	AckTimeout time.Duration
-	// BatchBytes caps the payload bytes read per ReadRaw call
-	// (default 1 MiB).
-	BatchBytes int
-	// OnFenced is invoked (outside the source mutex) when a join or an ack
-	// reveals an epoch higher than this log's: the cluster moved on, and
-	// the node owning this source must stop accepting writes. May be nil.
-	OnFenced func(epoch uint64)
-	// Logf receives stream-session log lines; nil discards them.
-	Logf func(format string, args ...any)
-}
-
-func (c *SourceConfig) fill() {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 10 * c.Heartbeat
-		if c.AckTimeout < 30*time.Second {
-			c.AckTimeout = 30 * time.Second
-		}
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1 << 20
-	}
-}
+const (
+	// sourceWriteTimeout bounds each stream frame write.
+	sourceWriteTimeout = 30 * time.Second
+	// sourceBatchBytes caps the payload bytes read per ReadRaw call.
+	sourceBatchBytes = 1 << 20
+)
 
 // Source serves WAL stream sessions from an open log. One Source is shared
 // by every follower connection; each ServeConn call runs one session,
 // holding a retention Pin that tracks the follower's acknowledged position
 // so checkpoint pruning never deletes a segment the stream still needs
 // (the log keeps every record at or after the minimum pin across
-// sessions). Both a durable primary and a durable follower own a Source —
-// the latter serves joins from its own log, which is what lets siblings
+// sessions). Every durable Node owns a Source, whatever its role — a
+// follower's serves joins from its own log, which is what lets siblings
 // re-point to it after a promotion.
 type Source struct {
 	log *wal.Log
-	cfg SourceConfig
+	// heartbeat is how often an idle stream sends MsgReplHeartbeat;
+	// followers size their read deadlines from it.
+	heartbeat time.Duration
+	// ackTimeout bounds the silence tolerated on the upstream ack channel
+	// (10x heartbeat, at least 30s): a follower that stops acking is
+	// disconnected so it cannot pin WAL retention forever.
+	ackTimeout time.Duration
+	// onFenced is invoked (outside the source mutex) when a join or an ack
+	// reveals an epoch higher than this log's: the cluster moved on, and
+	// the node owning this source must stop accepting writes.
+	onFenced func(epoch uint64)
+	logf     func(format string, args ...any)
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -77,23 +55,21 @@ type session struct {
 	acked uint64 // last LSN the follower acknowledged
 }
 
-// NewSource wraps an open WAL log for stream serving.
-func NewSource(log *wal.Log, cfg SourceConfig) *Source {
-	cfg.fill()
-	return &Source{log: log, cfg: cfg, sessions: make(map[*session]struct{})}
-}
-
-func (s *Source) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+// newSource wraps an open WAL log for stream serving.
+func newSource(log *wal.Log, heartbeat time.Duration, onFenced func(epoch uint64), logf func(format string, args ...any)) *Source {
+	return &Source{
+		log:        log,
+		heartbeat:  heartbeat,
+		ackTimeout: max(10*heartbeat, 30*time.Second),
+		onFenced:   onFenced,
+		logf:       logf,
+		sessions:   make(map[*session]struct{}),
 	}
 }
 
 func (s *Source) fence(epoch uint64) {
 	s.logf("repl: observed epoch %d above local epoch %d; fencing", epoch, s.log.Epoch())
-	if s.cfg.OnFenced != nil {
-		s.cfg.OnFenced(epoch)
-	}
+	s.onFenced(epoch)
 }
 
 // Stats reports the source's replication state: its durable LSN and epoch,
@@ -184,7 +160,7 @@ func (s *Source) WaitForAcks(lsn uint64, n int, timeout time.Duration) bool {
 
 // write sends one stream frame under the write deadline.
 func (s *Source) write(nc net.Conn, typ byte, v any) error {
-	if err := nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+	if err := nc.SetWriteDeadline(time.Now().Add(sourceWriteTimeout)); err != nil {
 		return err
 	}
 	return wire.WriteMessage(nc, typ, v, wire.ReplMaxFrame)
@@ -209,7 +185,7 @@ func (s *Source) writeError(nc net.Conn, code string, epoch uint64, format strin
 //     pruned). Epoch records travel in-band and the follower adopts them.
 //
 // It returns when the connection fails or the follower goes silent past
-// AckTimeout; the caller closes nc.
+// the ack timeout; the caller closes nc.
 func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 	from := join.FromLSN
 	epoch := s.log.Epoch()
@@ -282,7 +258,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 	}()
 
 	// The upstream direction runs in its own goroutine: acks advance the
-	// retention pin; silence past AckTimeout or any read error ends the
+	// retention pin; silence past the ack timeout or any read error ends the
 	// session (the caller then closes nc, unblocking our writes).
 	ackErr := make(chan error, 1)
 	go s.readAcks(nc, sess, pin, ackErr)
@@ -293,7 +269,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 			return err
 		default:
 		}
-		recs, err := s.log.ReadRaw(next, s.cfg.BatchBytes)
+		recs, err := s.log.ReadRaw(next, sourceBatchBytes)
 		if err != nil {
 			// ErrCompacted cannot happen while our pin holds next; anything
 			// here is a real log failure.
@@ -319,7 +295,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 		}
 		select {
 		case <-ch:
-		case <-time.After(s.cfg.Heartbeat):
+		case <-time.After(s.heartbeat):
 			if err := s.write(nc, wire.MsgReplHeartbeat, &wire.ReplHeartbeat{LSN: next - 1, Epoch: s.log.Epoch()}); err != nil {
 				return fmt.Errorf("send heartbeat: %w", err)
 			}
@@ -335,7 +311,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 // once.
 func (s *Source) readAcks(nc net.Conn, sess *session, pin *wal.Pin, ackErr chan<- error) {
 	for {
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.AckTimeout)); err != nil {
+		if err := nc.SetReadDeadline(time.Now().Add(s.ackTimeout)); err != nil {
 			ackErr <- err
 			return
 		}
@@ -343,7 +319,7 @@ func (s *Source) readAcks(nc net.Conn, sess *session, pin *wal.Pin, ackErr chan<
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				err = fmt.Errorf("follower silent for %v (no acks): %w", s.cfg.AckTimeout, err)
+				err = fmt.Errorf("follower silent for %v (no acks): %w", s.ackTimeout, err)
 			}
 			ackErr <- err
 			return

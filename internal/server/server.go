@@ -35,70 +35,26 @@ import (
 	"sopr/internal/wire"
 )
 
-// DB is the backend a Server serves from: a SynchronizedDB, a
-// repl.Primary or a repl.Follower. Exec and ExecBatch land on the
-// backend's exclusive write path (one operation-block stream, per the
-// paper's Section 2.1); ExecBatch runs its statements as one operation
-// block (one engine pass, one commit record, one shared fsync), and a
-// read-only follower refuses both with its typed read_only error. Query,
-// Dump, and Stats are read-only.
+// DB is the backend a Server serves from: a SynchronizedDB or a
+// repl.Node. Exec and ExecBatch land on the backend's exclusive write path
+// (one operation-block stream, per the paper's Section 2.1); ExecBatch
+// runs its statements as one operation block (one engine pass, one commit
+// record, one shared fsync), and a node that does not lead refuses both
+// with its typed read_only or fenced error. Query, Dump, and Stats are
+// read-only. CurrentLSN is the durable position the server attaches to
+// exec responses — the read-your-writes token clients carry to replica
+// reads.
+//
+// A repl.Node backend also serves the replication requests: stream joins,
+// promotion, follow orders, the epoch gate, read-your-writes waits and
+// replication stats. Any other backend refuses them.
 type DB interface {
 	Exec(src string) (*sopr.Result, error)
 	ExecBatch(stmts []string) (*sopr.Result, error)
 	Query(src string) (*sopr.Rows, error)
 	Dump(w io.Writer) error
 	Stats() sopr.Stats
-}
-
-// Optional backend capabilities, discovered by interface assertion:
-//
-// CurrentLSNer lets the server attach the durable LSN to exec responses —
-// the read-your-writes token clients carry to replica reads.
-type CurrentLSNer interface {
 	CurrentLSN() uint64
-}
-
-// LSNWaiter lets a replica backend hold a query until it has applied the
-// client's MinLSN (or report repl.LagError when it cannot in time).
-type LSNWaiter interface {
-	WaitForLSN(lsn uint64, timeout time.Duration) error
-}
-
-// Promoter lets a backend be promoted to accept writes in a new epoch
-// (MsgReplPromote, sent by clients failing over from a dead primary). It
-// returns the epoch actually opened: at least the requested one, and
-// always above every epoch the node has seen.
-type Promoter interface {
-	Promote(epoch uint64) (uint64, error)
-}
-
-// Epocher lets the server run the epoch gate: requests carrying an epoch
-// older than the node's answer CodeStaleEpoch, and a request revealing a
-// newer epoch fences a stale leader before the request executes.
-type Epocher interface {
-	Epoch() uint64
-	ObserveEpoch(epoch uint64)
-}
-
-// FollowerBackend lets a backend be pointed at (or demoted under) a
-// leader for a given epoch (MsgReplFollow): a replica re-points its
-// stream, a primary demotes itself into a follower of the new leader.
-type FollowerBackend interface {
-	Follow(leader string, epoch uint64) error
-}
-
-// ReplSourcer lets a backend serve WAL stream sessions (MsgReplJoin) from
-// its own source — a primary always, a durable follower too, which is
-// what lets siblings re-point to a promoted follower. It takes precedence
-// over Config.Repl.
-type ReplSourcer interface {
-	ReplSource() *repl.Source
-}
-
-// ReplStatser lets a backend report its replication position; backends
-// without it fall back to Config.Repl's source stats.
-type ReplStatser interface {
-	ReplStats() *wire.ReplStats
 }
 
 // Config tunes a Server. Zero values select the defaults.
@@ -111,9 +67,6 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds writing one response (default 30s).
 	WriteTimeout time.Duration
-	// Repl, when set, serves WAL stream sessions (MsgReplJoin) from this
-	// source — set on a durable primary, nil elsewhere.
-	Repl *repl.Source
 	// ReplWaitTimeout bounds how long a replica holds a query waiting for
 	// the client's MinLSN before answering CodeLagging (default 5s).
 	ReplWaitTimeout time.Duration
@@ -132,8 +85,9 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Server serves the wire protocol from one shared database.
 type Server struct {
-	db  DB
-	cfg Config
+	db   DB
+	node *repl.Node // db as a replication node; nil for any other backend
+	cfg  Config
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -178,7 +132,8 @@ func New(db DB, cfg Config) *Server {
 	if cfg.ReplWaitTimeout <= 0 {
 		cfg.ReplWaitTimeout = defaultReplWait
 	}
-	return &Server{db: db, cfg: cfg, conns: map[*conn]struct{}{}}
+	node, _ := db.(*repl.Node)
+	return &Server{db: db, node: node, cfg: cfg, conns: map[*conn]struct{}{}}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -438,14 +393,12 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 			s.badFrames.Add(1)
 			return s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 		}
-		if req.MinLSN > 0 {
-			// Read-your-writes: hold the read until the backend has applied
-			// the client's token. Backends without the capability (a primary)
-			// serve current state — the primary is the source of truth.
-			if w, ok := s.db.(LSNWaiter); ok {
-				if err := w.WaitForLSN(req.MinLSN, s.cfg.ReplWaitTimeout); err != nil {
-					return s.writeError(c, execError(err))
-				}
+		if req.MinLSN > 0 && s.node != nil {
+			// Read-your-writes: hold the read until the node has applied the
+			// client's token. Any other backend serves current state — it is
+			// the source of truth.
+			if err := s.node.WaitForLSN(req.MinLSN, s.cfg.ReplWaitTimeout); err != nil {
+				return s.writeError(c, execError(err))
 			}
 		}
 		rows, err := s.db.Query(req.Src)
@@ -467,8 +420,7 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 		return s.write(c, wire.MsgDumpResult, wire.DumpResponse{Script: b.String()})
 
 	case wire.MsgReplPromote:
-		p, ok := s.db.(Promoter)
-		if !ok {
+		if s.node == nil {
 			return s.writeError(c, wire.ErrorResponse{
 				Code:    wire.CodeExec,
 				Message: "this node cannot be promoted",
@@ -483,20 +435,16 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 				return s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 			}
 		}
-		epoch, err := p.Promote(req.Epoch)
+		epoch, err := s.node.Promote(req.Epoch)
 		if err != nil {
 			return s.writeError(c, execError(err))
 		}
-		resp := &wire.ReplPromotedResponse{Epoch: epoch}
-		if ln, ok := s.db.(CurrentLSNer); ok {
-			resp.LSN = ln.CurrentLSN()
-		}
+		resp := &wire.ReplPromotedResponse{Epoch: epoch, LSN: s.db.CurrentLSN()}
 		s.logf("conn %v: promoted to accept writes at epoch %d", c.nc.RemoteAddr(), epoch)
 		return s.write(c, wire.MsgReplPromoted, resp)
 
 	case wire.MsgReplFollow:
-		f, ok := s.db.(FollowerBackend)
-		if !ok {
+		if s.node == nil {
 			return s.writeError(c, wire.ErrorResponse{
 				Code:    wire.CodeExec,
 				Message: "this node cannot follow a leader",
@@ -507,7 +455,7 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 			s.badFrames.Add(1)
 			return s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 		}
-		if err := f.Follow(req.Leader, req.Epoch); err != nil {
+		if err := s.node.Follow(req.Leader, req.Epoch); err != nil {
 			return s.writeError(c, execError(err))
 		}
 		s.logf("conn %v: following %s at epoch %d", c.nc.RemoteAddr(), req.Leader, req.Epoch)
@@ -516,14 +464,12 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 	case wire.MsgStats:
 		s.statsReqs.Add(1)
 		var rs *wire.ReplStats
-		if r, ok := s.db.(ReplStatser); ok {
-			rs = r.ReplStats()
-		} else if s.cfg.Repl != nil {
-			rs = s.cfg.Repl.Stats()
+		if s.node != nil {
+			rs = s.node.ReplStats()
 		}
 		return s.write(c, wire.MsgStatsResult, wire.StatsResponse{
 			Repl:   rs,
-			Engine: wire.EngineStats(s.db.Stats()),
+			Engine: s.db.Stats(),
 			Server: s.Stats(),
 		})
 
@@ -544,21 +490,17 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 // may execute; when it may not, alive reports whether the connection is
 // still usable.
 func (s *Server) gateEpoch(c *conn, reqEpoch uint64) (proceed, alive bool) {
-	if reqEpoch == 0 {
+	if reqEpoch == 0 || s.node == nil {
 		return true, true
 	}
-	ep, ok := s.db.(Epocher)
-	if !ok {
-		return true, true
-	}
-	if cur := ep.Epoch(); reqEpoch < cur {
+	if cur := s.node.Epoch(); reqEpoch < cur {
 		return false, s.writeError(c, wire.ErrorResponse{
 			Code:    wire.CodeStaleEpoch,
 			Epoch:   cur,
 			Message: fmt.Sprintf("request epoch %d is older than node epoch %d", reqEpoch, cur),
 		})
 	} else if reqEpoch > cur {
-		ep.ObserveEpoch(reqEpoch)
+		s.node.ObserveEpoch(reqEpoch)
 	}
 	return true, true
 }
@@ -570,11 +512,9 @@ func (s *Server) writeExecResult(c *conn, typ byte, res *sopr.Result) bool {
 	if err != nil {
 		return s.writeError(c, wire.ErrorResponse{Code: wire.CodeInternal, Message: err.Error()})
 	}
-	if ln, ok := s.db.(CurrentLSNer); ok {
-		resp.LSN = ln.CurrentLSN()
-	}
-	if ep, ok := s.db.(Epocher); ok {
-		resp.Epoch = ep.Epoch()
+	resp.LSN = s.db.CurrentLSN()
+	if s.node != nil {
+		resp.Epoch = s.node.Epoch()
 	}
 	if res != nil {
 		resp.Synced = res.Synced
@@ -592,11 +532,9 @@ func (s *Server) handleReplJoin(c *conn, payload []byte) {
 		s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 		return
 	}
-	src := s.cfg.Repl
-	if rs, ok := s.db.(ReplSourcer); ok {
-		if bs := rs.ReplSource(); bs != nil {
-			src = bs
-		}
+	var src *repl.Source
+	if s.node != nil {
+		src = s.node.ReplSource()
 	}
 	if src == nil {
 		s.writeError(c, wire.ErrorResponse{

@@ -159,7 +159,8 @@ type ReplAck struct {
 // ReplStats describes a node's replication state, carried inside
 // StatsResponse.
 type ReplStats struct {
-	// Role is "primary" or "replica".
+	// Role is "primary" on a node that leads or is fenced, "replica" on
+	// one that follows.
 	Role string `json:"role"`
 	// LSN is the node's own position: last durable LSN on a primary,
 	// applied LSN on a replica.
@@ -173,8 +174,8 @@ type ReplStats struct {
 	// Connected reports whether the replica's stream to the primary is
 	// currently up.
 	Connected bool `json:"connected,omitempty"`
-	// Promoted reports that this node began as a replica and was promoted
-	// to accept writes.
+	// Promoted reports that this node leads an epoch a promotion opened
+	// (epoch > 0).
 	Promoted bool `json:"promoted,omitempty"`
 	// Followers is the number of connected stream sessions on a primary.
 	Followers int `json:"followers,omitempty"`

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 
+	"sopr/internal/engine"
 	"sopr/internal/wal"
 )
 
@@ -162,26 +163,9 @@ type DumpResponse struct {
 	Script string `json:"script"`
 }
 
-// EngineStats mirrors sopr.Stats across the wire; the two structs keep
-// the same fields in the same order, so each converts to the other.
-type EngineStats struct {
-	Committed           int64 `json:"committed"`
-	RolledBack          int64 `json:"rolled_back"`
-	ExternalTransitions int64 `json:"external_transitions"`
-	RuleConsiderations  int64 `json:"rule_considerations"`
-	RuleFirings         int64 `json:"rule_firings"`
-	RuleVisits          int64 `json:"rule_visits"`
-	IndexLookups        int64 `json:"index_lookups"`
-	HeapScans           int64 `json:"heap_scans"`
-	WALAppends          int64 `json:"wal_appends"`
-	WALBytes            int64 `json:"wal_bytes"`
-	RecoveredRecords    int64 `json:"recovered_records"`
-	Checkpoints         int64 `json:"checkpoints"`
-	GroupCommits        int64 `json:"group_commits,omitempty"`
-	GroupedTxns         int64 `json:"grouped_txns,omitempty"`
-	PlannedQueries      int64 `json:"planned_queries,omitempty"`
-	PlanProbeFallbacks  int64 `json:"plan_probe_fallbacks,omitempty"`
-}
+// EngineStats is the engine's counter list, declared once with its JSON
+// tags in engine.Stats (sopr.Stats is the same type).
+type EngineStats = engine.Stats
 
 // ServerStats are the network front-end's own counters, kept separately
 // from the engine's rule-processing counters.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -175,5 +176,51 @@ func TestTypeName(t *testing.T) {
 		if got := TypeName(typ); got != want {
 			t.Errorf("TypeName(0x%02x) = %q, want %q", typ, got, want)
 		}
+	}
+}
+
+// TestStatsResponseJSONPinned pins the stats response bytes with every
+// counter non-zero, so the omitempty keys appear too: the counter list is
+// declared once, and a change to a field name, a tag or the field order
+// shows here as a changed wire format.
+func TestStatsResponseJSONPinned(t *testing.T) {
+	resp := StatsResponse{
+		Engine: EngineStats{
+			Committed: 1, RolledBack: 2, ExternalTransitions: 3,
+			RuleConsiderations: 4, RuleFirings: 5, RuleVisits: 6,
+			IndexLookups: 7, HeapScans: 8, WALAppends: 9, WALBytes: 10,
+			RecoveredRecords: 11, Checkpoints: 12, GroupCommits: 13,
+			GroupedTxns: 14, PlannedQueries: 15, PlanProbeFallbacks: 16,
+		},
+		Server: ServerStats{
+			Accepted: 1, Active: 2, Execs: 3, BatchExecs: 4, Queries: 5,
+			Dumps: 6, StatsReqs: 7, Pings: 8, Errors: 9, BadFrames: 10,
+			InFlight: 11, DrainedReqs: 12,
+		},
+		Repl: &ReplStats{
+			Role: "primary", LSN: 1, PrimaryLSN: 2, Lag: 3, Connected: true,
+			Promoted: true, Followers: 4, MinFollowerLSN: 5, Epoch: 6,
+			Durable: true, Fenced: true, Leader: "h:1", SyncFollowers: 7,
+			SyncTimeouts: 8, Resets: 9, DiscardedRecords: 10,
+		},
+	}
+	got, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"engine":{"committed":1,"rolled_back":2,"external_transitions":3,` +
+		`"rule_considerations":4,"rule_firings":5,"rule_visits":6,"index_lookups":7,` +
+		`"heap_scans":8,"wal_appends":9,"wal_bytes":10,"recovered_records":11,` +
+		`"checkpoints":12,"group_commits":13,"grouped_txns":14,"planned_queries":15,` +
+		`"plan_probe_fallbacks":16},` +
+		`"server":{"accepted":1,"active":2,"execs":3,"batch_execs":4,"queries":5,` +
+		`"dumps":6,"stats_reqs":7,"pings":8,"errors":9,"bad_frames":10,"in_flight":11,` +
+		`"drained_reqs":12},` +
+		`"repl":{"role":"primary","lsn":1,"primary_lsn":2,"lag":3,"connected":true,` +
+		`"promoted":true,"followers":4,"min_follower_lsn":5,"epoch":6,"durable":true,` +
+		`"fenced":true,"leader":"h:1","sync_followers":7,"sync_timeouts":8,"resets":9,` +
+		`"discarded_records":10}}`
+	if string(got) != want {
+		t.Fatalf("stats response JSON changed:\n got %s\nwant %s", got, want)
 	}
 }

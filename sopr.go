@@ -487,45 +487,11 @@ func (db *DB) OnTrace(fn func(TraceEvent)) {
 	})
 }
 
-// Stats are cumulative engine counters.
-type Stats struct {
-	Committed           int64 // transactions committed
-	RolledBack          int64 // transactions rolled back (rules, errors, runaway guard)
-	ExternalTransitions int64 // externally-generated transitions executed
-	RuleConsiderations  int64 // rule condition evaluations
-	RuleFirings         int64 // rule action executions
-	RuleVisits          int64 // rule trans-info initializations, compositions and triggering tests
-	IndexLookups        int64 // selections served from a secondary index
-	HeapScans           int64 // full heap table scans
-	WALAppends          int64 // records appended to the write-ahead log
-	WALBytes            int64 // bytes appended to the write-ahead log
-	RecoveredRecords    int64 // log records replayed during crash recovery
-	Checkpoints         int64 // checkpoints written
-	// Group-commit counters (durable fsync=always path): GroupCommits is
-	// the number of leader fsyncs issued from the commit queue and
-	// GroupedTxns the number of committers those fsyncs acknowledged (see
-	// TxnsPerSync).
-	GroupCommits int64
-	GroupedTxns  int64
-	// Planner counters: query blocks executed through the cost-based join
-	// planner, and planned index probes that fell back to a heap scan at
-	// lookup time (the 2^53 integer-keyspace fallback).
-	PlannedQueries     int64
-	PlanProbeFallbacks int64
-}
-
-// TxnsPerSync is GroupedTxns/GroupCommits, the fsync amortization factor
-// (1.0 means every committer synced alone; >1 means fsyncs were shared; 0
-// before any group commit).
-func (s Stats) TxnsPerSync() float64 {
-	if s.GroupCommits == 0 {
-		return 0
-	}
-	return float64(s.GroupedTxns) / float64(s.GroupCommits)
-}
+// Stats are cumulative engine counters (see engine.Stats for each one).
+type Stats = engine.Stats
 
 // Stats returns a snapshot of the database's cumulative counters.
-func (db *DB) Stats() Stats { return Stats(db.eng.Stats()) }
+func (db *DB) Stats() Stats { return db.eng.Stats() }
 
 // Rules returns the defined rule names in definition order.
 func (db *DB) Rules() []string { return db.eng.Rules() }
