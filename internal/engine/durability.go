@@ -210,11 +210,12 @@ func (e *Engine) logDefinition(st sqlast.Statement) error {
 // (a durable follower).
 //
 // Replays deliberately do not publish a read snapshot: publishing freezes
-// every table, so the next replayed record would clone its table again —
-// per-record publishes would make recovery quadratic. Recovery publishes
-// once at the end (AttachWAL); a replication follower, which wants
-// per-record read visibility, calls PublishSnapshot after each record and
-// pays the copy-on-write clone as the price.
+// every table's components, so the next replayed record would copy its
+// table's heap spine and chunk again. Recovery publishes once at the end
+// (AttachWAL); a replication follower, which wants per-record read
+// visibility, calls PublishSnapshot after each record and pays the
+// copy-on-write of the chunks (and, for inserts and deletes, the
+// directory and indexes) the record touches as the price.
 func (e *Engine) ReplayRecord(rec wal.Record) error {
 	switch rec.Kind {
 	case wal.KindCommit:

@@ -46,9 +46,9 @@ func (e *Engine) publish() {
 // storage state. The normal write paths publish implicitly; this explicit
 // form exists for the replay paths: crash recovery publishes once after
 // the whole log tail (per-record publishes would re-trigger the
-// copy-on-write clone per record), while a replication follower calls it
-// after every applied record so snapshot readers see replicated state as
-// it arrives.
+// copy-on-write of each written chunk per record), while a replication
+// follower calls it after every applied record so snapshot readers see
+// replicated state as it arrives.
 func (e *Engine) PublishSnapshot() {
 	e.store.PublishSnapshot()
 	e.publish()

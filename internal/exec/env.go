@@ -213,7 +213,11 @@ func (e *Env) resolveTableRef(tr *sqlast.TableRef) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel := &relation{binding: tr.Binding(), table: schema.Name, cols: schema.ColumnNames()}
+		n, err := e.Store.Count(schema.Name)
+		if err != nil {
+			return nil, err
+		}
+		rel := &relation{binding: tr.Binding(), table: schema.Name, cols: schema.ColumnNames(), rows: make([]TransRow, 0, n)}
 		err = e.Store.Scan(schema.Name, func(t *storage.Tuple) bool {
 			rel.rows = append(rel.rows, TransRow{Handle: t.Handle, Values: t.Values})
 			return true

@@ -3,7 +3,7 @@
 // A CREATE INDEX declares a persistent hash index over one column of a
 // table: a map from column-value key to the handles of the tuples holding
 // that value. Indexes are maintained incrementally by the tuple-mutation
-// primitives in storage.go (insertTuple, removeHandle, setValues), which
+// primitives in storage.go (applyInsert, applyRemove, applySet), which
 // the undo log also goes through, so rollback unwinds index state for
 // free. NULLs are not indexed: `col = x` is never True when col is NULL.
 //
@@ -34,39 +34,46 @@ type secondaryIndex struct {
 	def     *catalog.Index
 	col     int        // column position in the schema
 	kind    value.Kind // declared column kind, selects the probe keyspace
+	gen     uint64     // store generation the buckets were made in (heap.go)
 	buckets map[value.Key][]Handle
 }
 
 // newSecondaryIndex builds an index over the table's current contents.
-func newSecondaryIndex(def *catalog.Index, td *tableData) *secondaryIndex {
+func newSecondaryIndex(def *catalog.Index, td *tableData, gen uint64) *secondaryIndex {
 	col := td.schema.ColumnIndex(def.Column)
 	ix := &secondaryIndex{
 		def:     def,
 		col:     col,
 		kind:    td.schema.Columns[col].Type,
+		gen:     gen,
 		buckets: make(map[value.Key][]Handle),
 	}
-	for _, t := range td.rows {
+	td.heap.scan(func(t *Tuple) bool {
 		ix.add(t.Values, t.Handle)
-	}
+		return true
+	})
 	return ix
 }
 
-// clone deep-copies the index — buckets map and handle slices — for the
-// copy-on-write table clone. Sharing bucket slices would let the writer's
-// in-place remove (and append's spare-capacity reuse) scribble over a
-// published snapshot's buckets.
-func (ix *secondaryIndex) clone() *secondaryIndex {
+// clone deep-copies the index — buckets map and handle slices — into the
+// writer's generation, before the first mutation of an index that a
+// published snapshot may reach: an insert or delete, or an update that
+// changes the row's key in this column. Sharing bucket slices would let
+// the writer's in-place remove (and append's spare-capacity reuse)
+// scribble over a published snapshot's buckets.
+func (ix *secondaryIndex) clone(w *cowState) *secondaryIndex {
 	c := &secondaryIndex{
 		def:     ix.def,
 		col:     ix.col,
 		kind:    ix.kind,
+		gen:     w.gen,
 		buckets: make(map[value.Key][]Handle, len(ix.buckets)),
 	}
 	for k, b := range ix.buckets {
 		nb := make([]Handle, len(b))
 		copy(nb, b)
 		c.buckets[k] = nb
+		w.copied += int64(len(b))
 	}
 	return c
 }
@@ -167,7 +174,7 @@ func (s *Store) CreateIndex(name, table, column string) error {
 	}
 	s.cat = cat
 	td := s.writable(s.tables[def.Table])
-	td.indexes = append(td.indexes, newSecondaryIndex(def, td))
+	td.indexes = append(td.indexes, newSecondaryIndex(def, td, s.cow.gen))
 	s.publish()
 	return nil
 }
@@ -265,10 +272,10 @@ func indexedLookup(td *tableData, c *accessCounters, col int, vals ...value.Valu
 	}
 	// Distinct keys hold disjoint handle sets, so the handles are unique;
 	// sort by physical position to reproduce heap-scan order.
-	sort.Slice(handles, func(i, j int) bool { return td.index[handles[i]] < td.index[handles[j]] })
+	sort.Slice(handles, func(i, j int) bool { return td.dir[handles[i]] < td.dir[handles[j]] })
 	tuples := make([]*Tuple, len(handles))
 	for i, h := range handles {
-		tuples[i] = td.rows[td.index[h]]
+		tuples[i] = td.heap.at(td.dir[h])
 	}
 	return tuples, true
 }
@@ -290,7 +297,7 @@ func (s *Store) AccessStats() (heapScans, indexLookups int64) {
 func (s *Store) CheckIndexes() error {
 	for name, td := range s.tables {
 		for _, ix := range td.indexes {
-			fresh := newSecondaryIndex(ix.def, td)
+			fresh := newSecondaryIndex(ix.def, td, 0)
 			if len(fresh.buckets) != len(ix.buckets) {
 				return fmt.Errorf("storage: index %q on %q: %d live keys vs %d rebuilt",
 					ix.def.Name, name, len(ix.buckets), len(fresh.buckets))

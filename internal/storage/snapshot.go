@@ -2,20 +2,24 @@
 //
 // Every commit (and every DDL statement) publishes an immutable
 // point-in-time Snapshot behind an atomic pointer. A Snapshot captures the
-// catalog and every table's physical representation (heap slice, handle
-// index, secondary-index buckets) as frozen structures: once published they
-// are never mutated again — the writer's first mutation of a table after a
-// publish clones it (copy-on-write, see Store.writable). Readers therefore
-// need no lock of any kind: loading the pointer is one atomic read, and
-// everything reachable from it is immutable. The atomic store/load pair
-// provides the happens-before edge that makes the frozen structures safe
-// to traverse from any goroutine.
+// catalog and one version of every table (heap spine and chunks, handle
+// directory, secondary-index buckets, column statistics) as frozen
+// structures: once published they are never mutated again — the writer
+// copies each component before its first mutation after a publish
+// (copy-on-write per component, see heap.go and Store.writable). Readers
+// therefore need no lock of any kind: loading the pointer is one atomic
+// read, and everything reachable from it is immutable. The atomic
+// store/load pair provides the happens-before edge that makes the frozen
+// structures safe to traverse from any goroutine.
 //
 // Memory behavior: a publish is O(#tables) — it shallow-copies the table
-// pointer map and flips the frozen flags. Table clones happen lazily on
-// the write side, at most once per table per publish interval, and old
-// versions stay alive only while some reader still holds the snapshot that
-// references them; the garbage collector reclaims them afterwards.
+// pointer map and advances the store's generation, which freezes every
+// component at once. Copies happen lazily on the write side, at most once
+// per component per publish interval: a one-row update copies the heap
+// spine, the tuple's chunk and the statistics of the columns whose key
+// changed. Old versions stay alive only while some reader still holds the
+// snapshot that references them; the garbage collector reclaims them
+// afterwards.
 package storage
 
 import (
@@ -36,16 +40,17 @@ type Snapshot struct {
 	counters *accessCounters
 }
 
-// publish freezes the current tables and installs them, with the current
-// catalog, as the store's published snapshot. Writer-side only.
+// publish installs the current tables, with the current catalog, as the
+// store's published snapshot, and advances the generation so that every
+// component they reach is frozen. Writer-side only.
 func (s *Store) publish() *Snapshot {
 	tables := make(map[string]*tableData, len(s.tables))
 	for name, td := range s.tables {
-		td.frozen = true
 		tables[name] = td
 	}
 	snap := &Snapshot{cat: s.cat, tables: tables, counters: s.counters}
 	s.snap.Store(snap)
+	s.cow.gen++
 	return snap
 }
 
@@ -98,11 +103,7 @@ func lookupTable(cat *catalog.Catalog, tables map[string]*tableData, name string
 // heap-scan counter.
 func scanTable(td *tableData, c *accessCounters, fn func(*Tuple) bool) {
 	c.heapScans.Add(1)
-	for _, t := range td.rows {
-		if !fn(t) {
-			return
-		}
-	}
+	td.heap.scan(fn)
 }
 
 // hasIndexOn reports whether a secondary index covers the given column.
@@ -140,7 +141,7 @@ func (sn *Snapshot) Count(table string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(td.rows), nil
+	return td.heap.n, nil
 }
 
 // Tuples returns the tuples of the named table sorted by handle, cloned so
@@ -153,13 +154,15 @@ func (sn *Snapshot) Tuples(table string) ([]*Tuple, error) {
 	return sortedTupleClones(td), nil
 }
 
-// Get returns the tuple with the given handle, searching every table.
-// Snapshots carry no handle directory (copying it would make publishes
-// O(#handles)); Get is a test/tooling convenience, not a hot path.
+// Get returns the tuple with the given handle. Each snapshot table carries
+// its own handle directory, but a snapshot has no store-level map from
+// handle to table (copying it would make publishes O(#handles)), so Get
+// asks every table's directory in turn. It is a test/tooling convenience,
+// not a hot path.
 func (sn *Snapshot) Get(h Handle) (*Tuple, bool) {
 	for _, td := range sn.tables {
-		if pos, ok := td.index[h]; ok {
-			return td.rows[pos], true
+		if pos, ok := td.dir[h]; ok {
+			return td.heap.at(pos), true
 		}
 	}
 	return nil, false

@@ -26,10 +26,11 @@ import (
 type colStats struct {
 	distinct map[value.Key]int
 	nulls    int
+	gen      uint64 // store generation the counts were made in (heap.go)
 }
 
-func newColStats() *colStats {
-	return &colStats{distinct: make(map[value.Key]int)}
+func newColStats(gen uint64) *colStats {
+	return &colStats{distinct: make(map[value.Key]int), gen: gen}
 }
 
 func (cs *colStats) add(v value.Value) {
@@ -54,33 +55,24 @@ func (cs *colStats) remove(v value.Value) {
 	}
 }
 
-func (cs *colStats) clone() *colStats {
-	c := &colStats{distinct: make(map[value.Key]int, len(cs.distinct)), nulls: cs.nulls}
+// clone copies the statistic into the writer's generation, before the
+// first change to a column's counts that a published snapshot may reach.
+func (cs *colStats) clone(w *cowState) *colStats {
+	c := &colStats{distinct: make(map[value.Key]int, len(cs.distinct)), nulls: cs.nulls, gen: w.gen}
 	for k, n := range cs.distinct {
 		c.distinct[k] = n
 	}
+	w.copied += int64(len(cs.distinct))
 	return c
 }
 
 // newTableStats allocates empty column statistics for a schema.
-func newTableStats(n int) []*colStats {
+func newTableStats(n int, gen uint64) []*colStats {
 	stats := make([]*colStats, n)
 	for i := range stats {
-		stats[i] = newColStats()
+		stats[i] = newColStats(gen)
 	}
 	return stats
-}
-
-func (td *tableData) statsAdd(row Row) {
-	for i, cs := range td.stats {
-		cs.add(row[i])
-	}
-}
-
-func (td *tableData) statsRemove(row Row) {
-	for i, cs := range td.stats {
-		cs.remove(row[i])
-	}
 }
 
 // ColStats is the planner-facing view of one column's statistics.
@@ -97,7 +89,7 @@ func columnStats(td *tableData, col int) (ColStats, error) {
 		return ColStats{}, fmt.Errorf("storage: column index %d out of range for table %q", col, td.schema.Name)
 	}
 	cs := td.stats[col]
-	return ColStats{Rows: len(td.rows), Distinct: len(cs.distinct), Nulls: cs.nulls}, nil
+	return ColStats{Rows: td.heap.n, Distinct: len(cs.distinct), Nulls: cs.nulls}, nil
 }
 
 // ColumnStats returns exact cardinality/distinct/null statistics for one
@@ -203,12 +195,13 @@ func (s *Store) CheckStats() error {
 			return fmt.Errorf("storage: stats for %q cover %d columns, schema has %d",
 				name, len(td.stats), len(td.schema.Columns))
 		}
-		fresh := newTableStats(len(td.schema.Columns))
-		for _, t := range td.rows {
+		fresh := newTableStats(len(td.schema.Columns), 0)
+		td.heap.scan(func(t *Tuple) bool {
 			for i, cs := range fresh {
 				cs.add(t.Values[i])
 			}
-		}
+			return true
+		})
 		for i, want := range fresh {
 			got := td.stats[i]
 			if got.nulls != want.nulls {

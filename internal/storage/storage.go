@@ -11,11 +11,13 @@
 // Concurrency model (see also snapshot.go). The store itself follows the
 // paper's single-stream model — one writer, no locking — but every commit
 // (and every DDL statement) publishes an immutable point-in-time Snapshot
-// behind an atomic pointer. Tables are copy-on-write at table granularity:
-// the first mutation of a table after a publish clones its physical
-// representation, so the published version is frozen forever and readers
-// traverse it with zero locking while the writer keeps mutating its
-// private copy in place.
+// behind an atomic pointer. Tables are copy-on-write per component (see
+// heap.go): the first mutation of a table after a publish makes a shallow
+// version of it, and each heap chunk, handle directory, secondary index
+// and column statistic is copied only when it is first mutated. The
+// published versions are therefore frozen forever and readers traverse
+// them with zero locking, while a one-row update copies one heap chunk
+// rather than the table.
 package storage
 
 import (
@@ -77,45 +79,57 @@ type Tuple struct {
 	Values Row
 }
 
-// tableData is the physical representation of one table: a slice of tuples
-// (duplicates allowed) plus a handle index. Deletion swaps with the last
-// element, so scan order is deterministic for a given operation history but
-// not insertion-ordered.
+// tableData is one version of a table's physical representation: a chunked
+// heap of tuples (duplicates allowed), the handle directory mapping each
+// handle to its heap position, secondary indexes and column statistics.
 //
-// frozen marks a tableData that has been captured by a published Snapshot.
-// A frozen tableData is immutable; the writer clones it (copy-on-write) on
-// the first mutation after the publish.
+// gen is the store generation the version was made in (see heap.go and
+// Store.writable). The version shares every component with the one it was
+// made from; dirGen, like the generation stamps inside the heap, the
+// indexes and the statistics, tells the writer whether a component is
+// already its own or must be copied before it is mutated.
 type tableData struct {
 	schema  *catalog.Table
-	rows    []*Tuple
-	index   map[Handle]int
+	gen     uint64
+	heap    heap
+	dir     map[Handle]int
+	dirGen  uint64
 	indexes []*secondaryIndex
 	stats   []*colStats // per-column cardinality stats (see stats.go)
-	frozen  bool
 }
 
-// clone deep-copies the physical structures (row slice, handle index,
-// secondary-index buckets) into a fresh unfrozen tableData. Tuples and
-// their Rows are shared: they are immutable once stored.
-func (td *tableData) clone() *tableData {
-	rows := make([]*Tuple, len(td.rows))
-	copy(rows, td.rows)
-	index := make(map[Handle]int, len(td.index))
-	for h, p := range td.index {
-		index[h] = p
+// ownDir makes the handle directory private to the writer's generation.
+// Only inserts and deletes move positions, so only they call it.
+func (td *tableData) ownDir(w *cowState) {
+	if td.dirGen == w.gen {
+		return
 	}
-	var indexes []*secondaryIndex
-	if len(td.indexes) > 0 {
-		indexes = make([]*secondaryIndex, len(td.indexes))
-		for i, ix := range td.indexes {
-			indexes[i] = ix.clone()
-		}
+	dir := make(map[Handle]int, len(td.dir)+1)
+	for h, p := range td.dir {
+		dir[h] = p
 	}
-	stats := make([]*colStats, len(td.stats))
-	for i, cs := range td.stats {
-		stats[i] = cs.clone()
+	w.copied += int64(len(td.dir))
+	td.dir, td.dirGen = dir, w.gen
+}
+
+// ownIndex makes td.indexes[i] private to the writer's generation.
+func (td *tableData) ownIndex(w *cowState, i int) *secondaryIndex {
+	ix := td.indexes[i]
+	if ix.gen != w.gen {
+		ix = ix.clone(w)
+		td.indexes[i] = ix
 	}
-	return &tableData{schema: td.schema, rows: rows, index: index, indexes: indexes, stats: stats}
+	return ix
+}
+
+// ownStats makes td.stats[i] private to the writer's generation.
+func (td *tableData) ownStats(w *cowState, i int) *colStats {
+	cs := td.stats[i]
+	if cs.gen != w.gen {
+		cs = cs.clone(w)
+		td.stats[i] = cs
+	}
+	return cs
 }
 
 // undoKind discriminates undo-log records.
@@ -164,6 +178,7 @@ type Store struct {
 
 	counters *accessCounters
 	snap     atomic.Pointer[Snapshot]
+	cow      cowState
 }
 
 // New returns an empty store with its own catalog and an (empty) published
@@ -193,7 +208,14 @@ func (s *Store) CreateTable(t *catalog.Table) error {
 		return err
 	}
 	s.cat = cat
-	s.tables[t.Name] = &tableData{schema: t, index: make(map[Handle]int), stats: newTableStats(len(t.Columns))}
+	s.tables[t.Name] = &tableData{
+		schema: t,
+		gen:    s.cow.gen,
+		heap:   heap{gen: s.cow.gen},
+		dir:    make(map[Handle]int),
+		dirGen: s.cow.gen,
+		stats:  newTableStats(len(t.Columns), s.cow.gen),
+	}
 	s.publish()
 	return nil
 }
@@ -213,9 +235,10 @@ func (s *Store) DropTable(name string) error {
 	}
 	s.cat = cat
 	if td, ok := s.tables[t.Name]; ok {
-		for _, tup := range td.rows {
+		td.heap.scan(func(tup *Tuple) bool {
 			delete(s.owner, tup.Handle)
-		}
+			return true
+		})
 	}
 	delete(s.tables, t.Name)
 	s.publish()
@@ -285,16 +308,21 @@ func (s *Store) Rollback() error {
 	return nil
 }
 
-// writable returns a tableData the writer may mutate: td itself when it is
-// private to the writer, or a fresh copy-on-write clone (installed in
-// s.tables) when td is frozen in a published snapshot.
+// writable returns a version of td the writer may mutate: td itself when it
+// was made since the last publish, or else a shallow version (installed in
+// s.tables) that shares every component with td. The small per-column and
+// per-index pointer slices are copied here; the components they point to
+// are copied by the mutation primitives on first write.
 func (s *Store) writable(td *tableData) *tableData {
-	if !td.frozen {
+	if td.gen == s.cow.gen {
 		return td
 	}
-	c := td.clone()
-	s.tables[td.schema.Name] = c
-	return c
+	c := *td
+	c.gen = s.cow.gen
+	c.indexes = append([]*secondaryIndex(nil), td.indexes...)
+	c.stats = append([]*colStats(nil), td.stats...)
+	s.tables[td.schema.Name] = &c
+	return &c
 }
 
 // applyInsert, applyRemove and applySet are the only primitives that mutate
@@ -305,12 +333,16 @@ func (s *Store) writable(td *tableData) *tableData {
 
 func (s *Store) applyInsert(td *tableData, t *Tuple) {
 	td = s.writable(td)
-	td.index[t.Handle] = len(td.rows)
-	td.rows = append(td.rows, t)
-	for _, ix := range td.indexes {
-		ix.add(t.Values, t.Handle)
+	w := &s.cow
+	td.ownDir(w)
+	td.dir[t.Handle] = td.heap.n
+	td.heap.push(w, t)
+	for i := range td.indexes {
+		td.ownIndex(w, i).add(t.Values, t.Handle)
 	}
-	td.statsAdd(t.Values)
+	for i, v := range t.Values {
+		td.ownStats(w, i).add(v)
+	}
 	s.owner[t.Handle] = td.schema.Name
 }
 
@@ -320,46 +352,68 @@ func (s *Store) applyInsert(td *tableData, t *Tuple) {
 // remove an unrelated tuple.
 func (s *Store) applyRemove(td *tableData, h Handle) (Row, error) {
 	td = s.writable(td)
-	pos, ok := td.index[h]
+	w := &s.cow
+	pos, ok := td.dir[h]
 	if !ok {
 		return nil, fmt.Errorf("storage: remove of handle %d absent from table %q", h, td.schema.Name)
 	}
-	t := td.rows[pos]
-	last := len(td.rows) - 1
-	if pos != last {
-		td.rows[pos] = td.rows[last]
-		td.index[td.rows[pos].Handle] = pos
+	t := td.heap.at(pos)
+	td.ownDir(w)
+	if moved := td.heap.swapRemove(w, pos); moved != nil {
+		td.dir[moved.Handle] = pos
 	}
-	td.rows = td.rows[:last]
-	delete(td.index, h)
-	for _, ix := range td.indexes {
-		ix.remove(t.Values, h)
+	delete(td.dir, h)
+	for i := range td.indexes {
+		td.ownIndex(w, i).remove(t.Values, h)
 	}
-	td.statsRemove(t.Values)
+	for i, v := range t.Values {
+		td.ownStats(w, i).remove(v)
+	}
 	delete(s.owner, h)
 	return t.Values, nil
 }
 
-// applySet replaces the values of the tuple with handle h, re-keying
-// secondary indexes for the changed row. The stored *Tuple is replaced, not
-// mutated: the old one may be shared with a published snapshot. Like
-// applyRemove, an absent handle is an explicit error rather than a silent
-// overwrite of position 0.
+// applySet replaces the values of the tuple with handle h. The stored
+// *Tuple is replaced, not mutated: the old one may be shared with a
+// published snapshot. Only the heap chunk holding the tuple is written,
+// and only the indexes and statistics of columns whose key changed are
+// re-keyed. Like applyRemove, an absent handle is an explicit error rather
+// than a silent overwrite of position 0.
 func (s *Store) applySet(td *tableData, h Handle, next Row) error {
 	td = s.writable(td)
-	pos, ok := td.index[h]
+	w := &s.cow
+	pos, ok := td.dir[h]
 	if !ok {
 		return fmt.Errorf("storage: set of handle %d absent from table %q", h, td.schema.Name)
 	}
-	t := td.rows[pos]
-	for _, ix := range td.indexes {
+	t := td.heap.at(pos)
+	for i, ix := range td.indexes {
+		if sameKey(t.Values[ix.col], next[ix.col]) {
+			continue
+		}
+		ix = td.ownIndex(w, i)
 		ix.remove(t.Values, h)
 		ix.add(next, h)
 	}
-	td.statsRemove(t.Values)
-	td.statsAdd(next)
-	td.rows[pos] = &Tuple{Handle: h, Table: t.Table, Values: next}
+	for i := range td.stats {
+		if sameKey(t.Values[i], next[i]) {
+			continue
+		}
+		cs := td.ownStats(w, i)
+		cs.remove(t.Values[i])
+		cs.add(next[i])
+	}
+	td.heap.set(w, pos, &Tuple{Handle: h, Table: t.Table, Values: next})
 	return nil
+}
+
+// sameKey reports whether a and b have the same value.KeyExact key (NULL
+// keys as NULL). Indexes and statistics hold keys only, so a column whose
+// key did not change needs no maintenance.
+func sameKey(a, b value.Value) bool {
+	ka, oka := value.KeyExact(a)
+	kb, okb := value.KeyExact(b)
+	return oka == okb && ka == kb
 }
 
 // coerceRow validates and coerces a row against the table schema.
@@ -472,32 +526,43 @@ func (s *Store) find(h Handle) (*Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	pos, ok := td.index[h]
+	pos, ok := td.dir[h]
 	if !ok {
 		return nil, false
 	}
-	return td.rows[pos], true
+	return td.heap.at(pos), true
 }
 
 // Get returns the live tuple with the given handle.
 func (s *Store) Get(h Handle) (*Tuple, bool) { return s.find(h) }
 
-// CheckHandleIndex verifies the store-level handle directory against a full
-// scan of every table, returning the first discrepancy. Tests run it after
-// randomized operation histories (including rollbacks and replays) to prove
-// the directory can never disagree with the heap.
+// CheckHandleIndex verifies the store-level handle directory and every
+// table's own directory against a full scan of the heaps, returning the
+// first discrepancy. Tests run it after randomized operation histories
+// (including rollbacks and replays) to prove neither directory can ever
+// disagree with the heap: every position a table's directory names must
+// hold the tuple of that handle, and the heap's shape must match its row
+// count.
 func (s *Store) CheckHandleIndex() error {
 	live := 0
 	for name, td := range s.tables {
-		for _, t := range td.rows {
+		if err := td.checkHeap(); err != nil {
+			return err
+		}
+		var err error
+		td.heap.scan(func(t *Tuple) bool {
 			got, ok := s.owner[t.Handle]
-			if !ok {
-				return fmt.Errorf("storage: handle %d live in table %q but absent from the handle directory", t.Handle, name)
-			}
-			if got != name {
-				return fmt.Errorf("storage: handle %d live in table %q but directory says %q", t.Handle, name, got)
+			switch {
+			case !ok:
+				err = fmt.Errorf("storage: handle %d live in table %q but absent from the handle directory", t.Handle, name)
+			case got != name:
+				err = fmt.Errorf("storage: handle %d live in table %q but directory says %q", t.Handle, name, got)
 			}
 			live++
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if live != len(s.owner) {
@@ -505,6 +570,44 @@ func (s *Store) CheckHandleIndex() error {
 	}
 	return nil
 }
+
+// checkHeap verifies one table's heap shape and its directory: the spine
+// holds ceil(n/chunkSize) chunks, every slot below n is filled and every
+// slot beyond it is empty, and the directory maps exactly the heap's
+// handles to their positions.
+func (td *tableData) checkHeap() error {
+	name, h := td.schema.Name, &td.heap
+	if want := (h.n + chunkMask) >> chunkShift; len(h.spine) != want {
+		return fmt.Errorf("storage: table %q: heap of %d rows has %d chunks, want %d", name, h.n, len(h.spine), want)
+	}
+	for i, c := range h.spine {
+		for j, t := range c.rows {
+			if pos := i<<chunkShift | j; (t != nil) != (pos < h.n) {
+				return fmt.Errorf("storage: table %q: heap slot %d filled=%v with %d rows", name, pos, t != nil, h.n)
+			}
+		}
+	}
+	if len(td.dir) != h.n {
+		return fmt.Errorf("storage: table %q: directory holds %d handles, heap holds %d rows", name, len(td.dir), h.n)
+	}
+	for hd, pos := range td.dir {
+		if pos < 0 || pos >= h.n {
+			return fmt.Errorf("storage: table %q: directory puts handle %d at position %d of %d", name, hd, pos, h.n)
+		}
+		if got := h.at(pos).Handle; got != hd {
+			return fmt.Errorf("storage: table %q: directory puts handle %d at position %d, which holds %d", name, hd, pos, got)
+		}
+	}
+	return nil
+}
+
+// CopiedCells reports how many cells copy-on-write has copied since the
+// store was made: heap spine entries and chunk slots, handle directory
+// entries, secondary-index handles and column-statistics entries. It
+// counts on the writer side only and is deterministic for a given
+// operation history, so tests pin the copying cost of an operation with
+// it.
+func (s *Store) CopiedCells() int64 { return s.cow.copied }
 
 // Scan calls fn for every tuple of the named table, in the store's current
 // physical order. fn must not modify the table. A false return stops the
@@ -524,7 +627,7 @@ func (s *Store) Count(table string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(td.rows), nil
+	return td.heap.n, nil
 }
 
 // Tuples returns the tuples of the named table sorted by handle — a
@@ -541,10 +644,11 @@ func (s *Store) Tuples(table string) ([]*Tuple, error) {
 
 // sortedTupleClones is the shared body of Store.Tuples and Snapshot.Tuples.
 func sortedTupleClones(td *tableData) []*Tuple {
-	out := make([]*Tuple, len(td.rows))
-	for i, t := range td.rows {
-		out[i] = &Tuple{Handle: t.Handle, Table: t.Table, Values: t.Values.Clone()}
-	}
+	out := make([]*Tuple, 0, td.heap.n)
+	td.heap.scan(func(t *Tuple) bool {
+		out = append(out, &Tuple{Handle: t.Handle, Table: t.Table, Values: t.Values.Clone()})
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Handle < out[j].Handle })
 	return out
 }
@@ -653,10 +757,11 @@ func (s *Store) Clone() *Store {
 			panic(err)
 		}
 		src := s.tables[name]
-		dst := c.tables[name]
-		for _, tup := range src.rows {
+		dst := c.writable(c.tables[name])
+		src.heap.scan(func(tup *Tuple) bool {
 			c.applyInsert(dst, &Tuple{Handle: tup.Handle, Table: tup.Table, Values: tup.Values.Clone()})
-		}
+			return true
+		})
 	}
 	for _, name := range s.cat.IndexNames() {
 		def, _ := s.cat.Index(name)

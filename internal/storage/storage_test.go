@@ -306,6 +306,30 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestCloneCopiesEveryRow: a clone holds every row of the original, in
+// the same scan order, with consistent handle directories. Clone inserts
+// into the version its first insert makes, not into the published one it
+// started from, which would keep only the last row.
+func TestCloneCopiesEveryRow(t *testing.T) {
+	s := newEmpStore(t)
+	for i := int64(0); i < 300; i++ {
+		s.Insert("emp", emp("a", i, 100, i%7))
+	}
+	c := s.Clone()
+	if err := c.CheckHandleIndex(); err != nil {
+		t.Fatal(err)
+	}
+	want, got := scanAllHandles(s, []string{"emp"}), scanAllHandles(c, []string{"emp"})
+	if len(got) != len(want) {
+		t.Fatalf("clone holds %d rows, original %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("clone scan position %d holds handle %d, original %d", i, got[i], want[i])
+		}
+	}
+}
+
 func TestCloneDuringTxnPanics(t *testing.T) {
 	s := newEmpStore(t)
 	s.Begin()
