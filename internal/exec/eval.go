@@ -361,106 +361,147 @@ func (e *Env) evalAggregate(sc *scope, name string, x *sqlast.FuncCall) (value.V
 	if gsc == nil {
 		return value.Null, fmt.Errorf("exec: aggregate %s used outside an aggregate query", strings.ToUpper(name))
 	}
+	g := gsc.groupRows
 	if x.Star {
 		if name != "count" {
 			return value.Null, fmt.Errorf("exec: %s(*) is not valid", strings.ToUpper(name))
 		}
-		return value.NewInt(int64(len(gsc.groupRows))), nil
+		return value.NewInt(int64(g.n)), nil
 	}
 	if len(x.Args) != 1 {
 		return value.Null, fmt.Errorf("exec: aggregate %s takes one argument", strings.ToUpper(name))
 	}
 
-	// Evaluate the argument once per group row, with this scope's bindings
-	// temporarily replaced. The group context is cleared during argument
-	// evaluation so nested aggregates are rejected.
-	var vals []value.Value
-	saveVars, saveGroup := gsc.vars, gsc.groupRows
+	// Evaluate the argument once per member, with this scope's bindings
+	// re-bound to the member and restored afterwards, folding each
+	// non-NULL value as it comes. The group context is cleared during
+	// argument evaluation so nested aggregates are rejected. An evaluation
+	// error outranks a fold error: every argument is evaluated first.
+	saved := make([]TransRow, len(gsc.vars))
+	for i, b := range gsc.vars {
+		saved[i] = TransRow{Handle: b.handle, Values: b.row}
+	}
+	f := aggFold{name: name, allInt: true}
+	var seen valueSet
+	if x.Distinct {
+		seen = valueSet{}
+	}
 	gsc.groupRows = nil
 	var evalErr error
-	for _, rowSet := range saveGroup {
-		gsc.vars = rowSet
+	for j := 0; j < g.n; j++ {
+		g.bind(gsc.vars, j)
 		v, err := e.evalExpr(sc, x.Args[0])
 		if err != nil {
 			evalErr = err
 			break
 		}
-		if !v.IsNull() {
-			vals = append(vals, v)
+		if !v.IsNull() && (seen == nil || seen.add(v)) {
+			f.add(v)
 		}
 	}
-	gsc.vars, gsc.groupRows = saveVars, saveGroup
+	for i, b := range gsc.vars {
+		b.row, b.handle = saved[i].Values, saved[i].Handle
+	}
+	gsc.groupRows = g
 	if evalErr != nil {
 		return value.Null, evalErr
 	}
+	return f.result()
+}
 
-	if x.Distinct {
-		vals = distinctValues(vals)
+// aggFold folds an aggregate's non-NULL argument values, in member order.
+// The first fold error sticks and later values are ignored.
+type aggFold struct {
+	name   string
+	n      int64
+	sumI   int64
+	sumF   float64
+	allInt bool
+	best   value.Value
+	err    error
+}
+
+func (f *aggFold) add(v value.Value) {
+	if f.err != nil {
+		return
 	}
-	switch name {
-	case "count":
-		return value.NewInt(int64(len(vals))), nil
+	f.n++
+	switch f.name {
 	case "sum", "avg":
-		if len(vals) == 0 {
-			return value.Null, nil
+		switch v.Kind() {
+		case value.KindInt:
+			f.sumI += v.Int()
+			f.sumF += float64(v.Int())
+		case value.KindFloat:
+			f.allInt = false
+			f.sumF += v.Float()
+		default:
+			f.err = fmt.Errorf("exec: %s over non-numeric value %s", strings.ToUpper(f.name), v)
 		}
-		sumI := int64(0)
-		sumF := 0.0
-		allInt := true
-		for _, v := range vals {
-			switch v.Kind() {
-			case value.KindInt:
-				sumI += v.Int()
-				sumF += float64(v.Int())
-			case value.KindFloat:
-				allInt = false
-				sumF += v.Float()
-			default:
-				return value.Null, fmt.Errorf("exec: %s over non-numeric value %s", strings.ToUpper(name), v)
-			}
-		}
-		if name == "avg" {
-			return value.NewFloat(sumF / float64(len(vals))), nil
-		}
-		if allInt {
-			return value.NewInt(sumI), nil
-		}
-		return value.NewFloat(sumF), nil
 	case "min", "max":
-		if len(vals) == 0 {
-			return value.Null, nil
+		if f.n == 1 {
+			f.best = v
+			return
 		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			cmp, ok := value.Compare(v, best)
-			if !ok {
-				return value.Null, fmt.Errorf("exec: %s over incomparable values", strings.ToUpper(name))
-			}
-			if (name == "min" && cmp < 0) || (name == "max" && cmp > 0) {
-				best = v
-			}
+		cmp, ok := value.Compare(v, f.best)
+		if !ok {
+			f.err = fmt.Errorf("exec: %s over incomparable values", strings.ToUpper(f.name))
+			return
 		}
-		return best, nil
-	default:
-		return value.Null, fmt.Errorf("exec: unknown aggregate %s", name)
+		if (f.name == "min" && cmp < 0) || (f.name == "max" && cmp > 0) {
+			f.best = v
+		}
 	}
 }
 
-func distinctValues(vals []value.Value) []value.Value {
-	var out []value.Value
-	for _, v := range vals {
-		dup := false
-		for _, w := range out {
-			if v.Equal(w) {
-				dup = true
-				break
-			}
+func (f *aggFold) result() (value.Value, error) {
+	if f.err != nil {
+		return value.Null, f.err
+	}
+	switch f.name {
+	case "count":
+		return value.NewInt(f.n), nil
+	case "sum", "avg":
+		switch {
+		case f.n == 0:
+			return value.Null, nil
+		case f.name == "avg":
+			return value.NewFloat(f.sumF / float64(f.n)), nil
+		case f.allInt:
+			return value.NewInt(f.sumI), nil
+		default:
+			return value.NewFloat(f.sumF), nil
 		}
-		if !dup {
-			out = append(out, v)
+	case "min", "max":
+		if f.n == 0 {
+			return value.Null, nil
+		}
+		return f.best, nil
+	default:
+		return value.Null, fmt.Errorf("exec: unknown aggregate %s", f.name)
+	}
+}
+
+// valueSet holds the distinct values of a DISTINCT aggregate's argument:
+// a value is new unless it is Equal to one already held. Equal values
+// share a KeyNumeric key, so Equal runs only within one key's bucket. A
+// bucket can hold values that are not Equal to each other — every NaN
+// (never Equal, not even to itself) and int64s above 2^53 that share a
+// float image — and they are kept exactly as a scan over every held value
+// would keep them. NULL is never added.
+type valueSet map[value.Key][]value.Value
+
+// add adds v and reports whether it was new.
+func (s valueSet) add(v value.Value) bool {
+	k, _ := value.KeyNumeric(v)
+	bucket := s[k]
+	for _, w := range bucket {
+		if v.Equal(w) {
+			return false
 		}
 	}
-	return out
+	s[k] = append(bucket, v)
+	return true
 }
 
 // evalScalarFunc evaluates the built-in scalar functions.

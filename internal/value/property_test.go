@@ -163,3 +163,36 @@ func TestKeyFloatNormalization(t *testing.T) {
 		t.Error("KeyNumeric(3) != KeyNumeric(3.0)")
 	}
 }
+
+// TestAppendMatchesStringProperty checks that Append renders exactly the
+// bytes of String, onto an empty and onto a non-empty prefix.
+func TestAppendMatchesStringProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 5000; i++ {
+		v := randValue(rng)
+		if got := string(v.Append(nil)); got != v.String() {
+			t.Fatalf("Append(nil) of %s = %q", v, got)
+		}
+		if got := string(v.Append([]byte("k\x00"))); got != "k\x00"+v.String() {
+			t.Fatalf("Append(prefix) of %s = %q", v, got)
+		}
+	}
+}
+
+// TestEqualImpliesKeyNumericProperty checks that values Equal to each
+// other share a KeyNumeric key, which lets a set of distinct values run
+// Equal only within one key's bucket.
+func TestEqualImpliesKeyNumericProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		a, b := randValue(rng), randValue(rng)
+		if !a.Equal(b) {
+			continue
+		}
+		ka, _ := KeyNumeric(a)
+		kb, _ := KeyNumeric(b)
+		if ka != kb {
+			t.Fatalf("Equal(%s, %s) but KeyNumeric keys differ: %v vs %v", a, b, ka, kb)
+		}
+	}
+}

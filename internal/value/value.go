@@ -144,6 +144,19 @@ func (v Value) String() string {
 	}
 }
 
+// Append appends v.String() to b. Numbers are formatted in place, so a
+// caller that reuses b renders them without allocating.
+func (v Value) Append(b []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(b, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+	default:
+		return append(b, v.String()...)
+	}
+}
+
 // Equal reports strict equality of two values, with NULL equal only to NULL.
 // This is Go-level identity used by tests and set containers, not SQL
 // equality (use Compare for SQL semantics, where NULL = NULL is unknown).
