@@ -2,19 +2,20 @@
 //
 // A table's rows live in fixed-size chunks of chunkSize tuple pointers,
 // reached through a spine of chunk pointers. Copy-on-write works per
-// component: a version of a table shares its spine, its chunks, its handle
-// directory, its secondary indexes and its column statistics with the
-// version it was made from, and each of them is copied on its first
-// mutation. A one-row update therefore copies one chunk and the spine, not
-// the table.
+// component: a version of a table shares its spine, its chunks and the
+// nodes of its tries (handle directory, secondary indexes, column
+// statistics; see trie.go) with the version it was made from, and each of
+// them is copied on its first mutation. A one-row update therefore copies
+// one chunk, the spine and a trie path, not the table.
 //
 // Ownership is decided by generation. Every publish advances the store's
-// generation; every component records the generation it was made in. A
-// component stamped with the current generation was made since the last
-// publish, so no snapshot can reach it and the writer mutates it in place.
-// Any other component may be reachable from a published snapshot and is
-// copied first. Publishing therefore freezes every component at once
-// without visiting any of them.
+// generation; every chunk, spine, trie node and index bucket records the
+// generation it was made in. A component stamped with the current
+// generation was made since the last publish, so no snapshot can reach it
+// and the writer mutates it in place. Any other component may be
+// reachable from a published snapshot and is copied first. Publishing
+// therefore freezes every component at once without visiting any of
+// them.
 package storage
 
 // chunkSize is the number of rows per heap chunk: the unit a one-row write
@@ -28,8 +29,8 @@ const (
 
 // cowState is the writer's copy-on-write clock: the current generation,
 // advanced by every publish, and the number of cells (spine entries, chunk
-// slots, directory entries, index handles, statistics entries) that
-// copy-on-write has copied so far.
+// slots, trie slots, index bucket handles) that copy-on-write has copied
+// so far.
 type cowState struct {
 	gen    uint64
 	copied int64

@@ -39,52 +39,123 @@ func newAcctStore(t *testing.T, n int) *Store {
 }
 
 // TestSnapshotUpdateCopiesOneChunk pins the copying cost of a one-row
-// update after a publish: one chunk's slots, the spine, and the
-// statistics of the one column whose key changed. It does not grow with
-// the table beyond the spine's ceil(n/chunkSize) entries. A second update
-// before the next publish copies nothing.
+// update after a publish: one chunk's slots, the spine, and one path of
+// the statistics trie of the one column whose key changed. It does not
+// grow with the table beyond the spine's ceil(n/chunkSize) entries. A
+// second update before the next publish that touches the same keys (it
+// moves the balance back) copies nothing.
 func TestSnapshotUpdateCopiesOneChunk(t *testing.T) {
 	for _, n := range []int{1000, 100000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			s := newAcctStore(t, n)
 			before := s.Snapshot()
-			balStats, err := s.ColumnStats("acct", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
 			h := Handle(n/2 + 1)
-			bump := func() {
+			bump := func(delta int64) {
 				t.Helper()
 				tup, ok := s.Get(h)
 				if !ok {
 					t.Fatalf("handle %d not live", h)
 				}
-				bal := value.NewInt(tup.Values[2].Int() + 3)
+				bal := value.NewInt(tup.Values[2].Int() + delta)
 				if _, _, err := s.Update(h, map[int]value.Value{2: bal}); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			start := s.CopiedCells()
-			bump()
+			bump(3)
 			copied := s.CopiedCells() - start
-			budget := int64(chunkSize + (n+chunkMask)/chunkSize + balStats.Distinct)
+			// bal's statistics trie holds 100 keys in two levels: the
+			// root and the flat children of the old and the new key.
+			statsPath := trieFan + 2*leafWidth
+			budget := int64(chunkSize + (n+chunkMask)/chunkSize + statsPath)
 			t.Logf("n=%d: one update copied %d cells (budget %d)", n, copied, budget)
 			if copied > budget {
 				t.Errorf("one update copied %d cells, budget %d", copied, budget)
 			}
-			start = s.CopiedCells()
-			bump()
-			if again := s.CopiedCells() - start; again != 0 {
-				t.Errorf("second update before a publish copied %d cells, want 0", again)
-			}
 			if tup, _ := before.Get(h); tup.Values[2].Int() != int64(1000+(n/2)%100) {
 				t.Errorf("published snapshot saw the update: %v", tup.Values)
+			}
+			start = s.CopiedCells()
+			bump(-3)
+			if again := s.CopiedCells() - start; again != 0 {
+				t.Errorf("second update before a publish copied %d cells, want 0", again)
 			}
 			if err := s.CheckHandleIndex(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCopiedCellsSweep pins what one update, one insert and one delete
+// copy after a publish at 10^3, 10^4 and 10^5 rows. Beyond the heap spine's
+// ceil(n/chunkSize) entries, a write copies its heap chunks and one
+// root-to-leaf path of each trie it changes, never a whole directory,
+// index or statistic. The update changes only bal, whose statistics trie
+// holds 100 keys at every size, so its copies beyond the spine are the
+// same at every size. An insert or a delete also writes the handle
+// directory, the index on id and id's statistics, tries of n keys, whose
+// paths gain about one 32-slot level each time the table grows 32-fold;
+// they stay within a budget of fixed paths.
+func TestCopiedCellsSweep(t *testing.T) {
+	// pathCells bounds one path of a trie over at most 10^5 keys: three
+	// bitmap levels and a flat leaf.
+	const pathCells = 3*trieFan + leafWidth
+	ops := []struct {
+		name           string
+		chunks, paths  int // heap chunks and trie paths the write may copy
+		write          func(s *Store, n int) error
+		sameAtEachSize bool
+	}{
+		// One chunk; bal's statistics lose the old key and gain the new.
+		{"update", 1, 2, func(s *Store, n int) error {
+			_, _, err := s.Update(Handle(n/2+1), map[int]value.Value{2: value.NewInt(5)})
+			return err
+		}, true},
+		// The last chunk; the directory, the index and three statistics.
+		{"insert", 1, 5, func(s *Store, n int) error {
+			_, err := s.Insert("acct", Row{value.NewInt(int64(n)), value.NewInt(3), value.NewInt(1000)})
+			return err
+		}, false},
+		// The hole's chunk and the last chunk; the directory twice (the
+		// moved row and the removed one), the index and three statistics.
+		{"delete", 2, 6, func(s *Store, n int) error {
+			_, _, err := s.Delete(Handle(n / 3))
+			return err
+		}, false},
+	}
+	sizes := []int{1000, 10000, 100000}
+	stores := make([]*Store, len(sizes))
+	for i, n := range sizes {
+		stores[i] = newAcctStore(t, n)
+	}
+	for _, op := range ops {
+		budget := int64(op.chunks*chunkSize + op.paths*pathCells)
+		var first int64
+		for i, n := range sizes {
+			s := stores[i]
+			s.PublishSnapshot()
+			rows, _ := s.Count("acct")
+			spine := int64((rows + chunkMask) / chunkSize)
+			start := s.CopiedCells()
+			if err := op.write(s, n); err != nil {
+				t.Fatal(err)
+			}
+			extra := s.CopiedCells() - start - spine
+			t.Logf("%s at n=%d: %d cells beyond the spine's %d (budget %d)", op.name, n, extra, spine, budget)
+			if extra > budget {
+				t.Errorf("%s at n=%d copied %d cells beyond the spine, budget %d", op.name, n, extra, budget)
+			}
+			if i == 0 {
+				first = extra
+			} else if op.sameAtEachSize && extra != first {
+				t.Errorf("%s at n=%d copied %d cells beyond the spine, %d at n=%d", op.name, n, extra, first, sizes[0])
+			}
+			if err := s.CheckHandleIndex(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -244,8 +315,7 @@ func TestCheckHandleIndexSeesPositions(t *testing.T) {
 			td.heap.set(&s.cow, td.heap.n, td.heap.at(0))
 		}},
 		{"stale directory entry", func(s *Store, td *tableData) {
-			td.ownDir(&s.cow)
-			td.dir[td.heap.at(1).Handle] = 2
+			td.dir.put(&s.cow, td.heap.at(1).Handle, 2)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

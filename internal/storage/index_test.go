@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sopr/internal/value"
@@ -190,6 +191,95 @@ func TestIndexMaintenanceProperty(t *testing.T) {
 		}
 		if err := s.CheckIndexes(); err != nil {
 			t.Fatalf("seed %d original after clone mutation: %v", seed, err)
+		}
+	}
+}
+
+// TestSnapshotIndexesAndStatsFrozen publishes snapshots between random
+// inserts, updates and deletes, committed and rolled back, and requires
+// every snapshot to keep answering index lookups and column statistics
+// exactly as when it was published. The dept_no index holds a few large
+// buckets, so the writer's in-place bucket edits of its own generation
+// must never reach a bucket a snapshot shares.
+func TestSnapshotIndexesAndStatsFrozen(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		s := newIndexedStore(t)
+		type published struct {
+			snap  *Snapshot
+			hits  map[[2]int64][]Handle // (column, key) -> handles in heap order
+			stats []ColStats
+		}
+		record := func(sn *Snapshot) published {
+			p := published{snap: sn, hits: map[[2]int64][]Handle{}}
+			for _, col := range []int{1, 3} {
+				for k := int64(0); k < 50; k++ {
+					tuples, ok, err := sn.IndexedLookup("emp", col, value.NewInt(k))
+					if err != nil || !ok {
+						t.Fatalf("lookup emp.%d = %d: ok=%v, %v", col, k, ok, err)
+					}
+					for _, tup := range tuples {
+						p.hits[[2]int64{int64(col), k}] = append(p.hits[[2]int64{int64(col), k}], tup.Handle)
+					}
+				}
+			}
+			for col := 0; col < 4; col++ {
+				cs, err := sn.ColumnStats("emp", col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.stats = append(p.stats, cs)
+			}
+			return p
+		}
+		var live []Handle
+		var pubs []published
+		for round := 0; round < 40; round++ {
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			before := append([]Handle(nil), live...)
+			for i := 0; i < 1+rng.Intn(8); i++ {
+				switch {
+				case len(live) == 0 || rng.Intn(2) == 0:
+					h, err := s.Insert("emp", emp("e", rng.Int63n(50), float64(rng.Intn(10)), rng.Int63n(5)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, h)
+				case rng.Intn(2) == 0:
+					h := live[rng.Intn(len(live))]
+					if _, _, err := s.Update(h, map[int]value.Value{3: value.NewInt(rng.Int63n(5))}); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					i := rng.Intn(len(live))
+					if _, _, err := s.Delete(live[i]); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live[:i], live[i+1:]...)
+				}
+			}
+			if rng.Intn(4) == 0 {
+				if err := s.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+				live = before
+			} else if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			pubs = append(pubs, record(s.Snapshot()))
+			for i, p := range pubs {
+				again := record(p.snap)
+				for key, want := range p.hits {
+					if got := again.hits[key]; !slices.Equal(got, want) {
+						t.Fatalf("seed %d round %d: snapshot %d lookup emp.%d = %d: %v, published %v", seed, round, i, key[0], key[1], got, want)
+					}
+				}
+				if !slices.Equal(again.stats, p.stats) {
+					t.Fatalf("seed %d round %d: snapshot %d stats %v, published %v", seed, round, i, again.stats, p.stats)
+				}
+			}
 		}
 	}
 }
