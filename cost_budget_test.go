@@ -76,7 +76,7 @@ func cascadeOp(t *testing.T, db *sopr.DB, bystanders int) func() {
 // same: 2. Each of the 17 firings re-initializes mgr_cascade's trans-info
 // and then tests it again: 17·2. 2 + 2 + 34 = 38.
 //
-// The allocation budget is the measured count (2,752 either way) plus 5 %;
+// The allocation budget is the measured count (2,634 either way) plus 5 %;
 // visiting every bystander on every transition, re-evaluating the
 // subquery per row, or growing each scan's materialization by doubling
 // instead of sizing it from the table's count blows the pins.
@@ -97,8 +97,8 @@ func TestCascadeCostBudget(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(5, op)
 			t.Logf("allocations = %.0f", allocs)
-			if allocs > 2890 {
-				t.Errorf("allocations per cascade operation = %.0f, budget 2890", allocs)
+			if allocs > 2766 {
+				t.Errorf("allocations per cascade operation = %.0f, budget 2766", allocs)
 			}
 		})
 	}

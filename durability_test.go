@@ -167,6 +167,47 @@ func TestRolledBackTransactionsNotLogged(t *testing.T) {
 	}
 }
 
+// TestDurableRollbackKeepsScanOrder: a rolled-back transaction leaves the
+// heap in its pre-transaction order, which is also the order recovery
+// rebuilds from the log. The delete swap-removes 1 (3 moves into its slot);
+// the failing insert rolls the transaction back. Scan order is observable
+// through an unordered select, so the live database, the same database
+// after Close and the reopened one must all read 1 2 3 4.
+func TestDurableRollbackKeepsScanOrder(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	db.MustExec(`create table t (a int); insert into t values (1), (2), (3)`)
+	if _, err := db.Exec(`delete from t where a = 1; insert into t values (1, 2)`); err == nil {
+		t.Fatal("arity error did not fail the transaction")
+	}
+	db.MustExec(`insert into t values (4)`)
+	scan := func(db *DB) string {
+		t.Helper()
+		return fmt.Sprint(db.MustQuery(`select a from t`).Data)
+	}
+	const want = "[[1] [2] [3] [4]]"
+	if got := scan(db); got != want {
+		t.Errorf("live scan order %s, want %s", got, want)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := scan(db); got != want {
+		t.Errorf("scan order after close %s, want %s", got, want)
+	}
+	db2, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	if got := scan(db2); got != want {
+		t.Errorf("recovered scan order %s, want %s", got, want)
+	}
+}
+
 // TestRuleScopeChangeSurvivesReopen: a scope change is the ALTER RULE ...
 // SCOPE definition statement, logged like any other rule DDL, so a
 // reopened database dumps identically — with the change in the log tail

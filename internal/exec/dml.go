@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sopr/internal/sqlast"
@@ -117,15 +118,18 @@ func (e *Env) execInsert(s *sqlast.Insert) (*OpResult, error) {
 			rows = append(rows, full)
 		}
 	} else {
+		// Each VALUES row is evaluated into one buffer, which buildRow
+		// copies into the full-width row handed to the store.
 		sc := &scope{}
+		var vals storage.Row
 		for _, exprRow := range s.Rows {
-			vals := make(storage.Row, len(exprRow))
-			for i, ex := range exprRow {
+			vals = slices.Grow(vals[:0], len(exprRow))
+			for _, ex := range exprRow {
 				v, err := e.evalExpr(sc, ex)
 				if err != nil {
 					return nil, err
 				}
-				vals[i] = v
+				vals = append(vals, v)
 			}
 			full, err := buildRow(vals)
 			if err != nil {

@@ -58,6 +58,7 @@ type Store interface {
 	Count(table string) (int, error)
 	ColumnStats(table string, col int) (storage.ColStats, error)
 	ClassifyProbe(table string, col int, vals ...value.Value) storage.ProbeClass
+	// Insert takes ownership of row (see storage.Store.Insert).
 	Insert(table string, row storage.Row) (storage.Handle, error)
 	Delete(h storage.Handle) (table string, old storage.Row, err error)
 	Update(h storage.Handle, assign map[int]value.Value) (table string, old storage.Row, err error)

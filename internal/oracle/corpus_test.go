@@ -5,6 +5,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ var writeCorpus = flag.Bool("writecorpus", false, "rewrite testdata/corpus/ entr
 // corners of Sections 2-5 where the engine and the oracle are most likely
 // to drift apart: scope-modified transition windows, Definition 2.1
 // composition edge cases (delete-after-update, insert-then-delete
-// cancellation), rollback undo and physical heap order, the exact
+// cancellation), rollback and physical heap order, the exact
 // transition-cap boundary, cross-kind coercion, three-valued logic, and
 // transitive priority domination. Each is constructed so the interesting
 // behavior is observable in the final state or the firing sequence, not
@@ -140,13 +141,14 @@ func targetedWorkloads() map[string]*gen.Workload {
 	}
 
 	// rollback_physical_order: physical heap order is observable through
-	// scan order, and rollback must restore it via the exact reverse-undo
-	// discipline (undo-delete re-appends at the END, not the original
-	// slot). txn 1 deletes the middle row then triggers a rollback rule;
-	// after undo the heap order is [1, 3, 2] — not the original [1, 2, 3].
-	// txn 2 then materializes the scan order into s, where exact
-	// handle+value comparison pins it. Handles consumed by the rolled-back
-	// transaction stay consumed, which the fresh handles in txn 2 verify.
+	// scan order, and rollback returns the database to its state at
+	// transaction start, heap order included. txn 1 deletes the middle row
+	// (the swap-remove moves 3 into its slot), then triggers a rollback
+	// rule; afterwards the heap order is the original [1, 2, 3] again, as
+	// recovery from the log would rebuild it. txn 2 then materializes the
+	// scan order into s, where exact handle+value comparison pins it.
+	// Handles consumed by the rolled-back transaction stay consumed, which
+	// the fresh handles in txn 2 verify.
 	ws["rollback_physical_order"] = &gen.Workload{
 		Seed: 9004, Cap: 10,
 		Tables: []gen.Table{t2("t", ic("a")), t2("s", ic("x"))},
@@ -603,6 +605,19 @@ func TestTargetedExpectations(t *testing.T) {
 		got := outs[0].Firings
 		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("transitive domination ignored: firings %v, want %v", got, want)
+		}
+	})
+	t.Run("rollback_physical_order", func(t *testing.T) {
+		db, outs := run("rollback_physical_order")
+		if outs[1].Kind != RolledBack || outs[1].Rule != "rb" {
+			t.Fatalf("txn 1 outcome %v, want rolled back by rb", outs[1])
+		}
+		var got []int64
+		for _, r := range db.State()["s"] {
+			got = append(got, r.Row[0].Int())
+		}
+		if want := []int64{1, 2, 3, 4}; !slices.Equal(got, want) {
+			t.Fatalf("s in handle order = %v, want the pre-transaction scan order %v", got, want)
 		}
 	})
 	t.Run("empty_segments", func(t *testing.T) {

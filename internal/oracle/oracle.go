@@ -192,7 +192,7 @@ func (db *DB) satisfies(e *eff, preds []gen.Pred) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Storage: heap tables with system tuple handles and an undo log
+// Storage: heap tables with system tuple handles
 // ---------------------------------------------------------------------------
 
 type tuple struct {
@@ -227,25 +227,12 @@ func (t *table) removeHandle(h uint64) *tuple {
 	return tp
 }
 
-const (
-	undoInsert = iota
-	undoDelete
-	undoUpdate
-)
-
-type undoRec struct {
-	kind   int
-	handle uint64
-	table  string
-	old    []value.Value
-}
-
 // DB is the oracle's database: tables, rules, and the Figure 1 machinery.
 type DB struct {
 	w      *gen.Workload
 	tables map[string]*table
 	next   uint64
-	undo   []undoRec
+	saved  map[string][]tuple // every table's rows at transaction start
 
 	rules  []*orule
 	higher map[string][]string // priority edges: before → afters
@@ -265,6 +252,7 @@ func New(w *gen.Workload, choose func([]string) string) *DB {
 	db := &DB{
 		w:      w,
 		tables: map[string]*table{},
+		saved:  map[string][]tuple{},
 		higher: map[string][]string{},
 		choose: choose,
 	}
@@ -347,7 +335,6 @@ func (db *DB) insertRow(t *table, row []value.Value) (uint64, error) {
 	db.next++
 	h := db.next
 	t.insertTuple(&tuple{handle: h, row: coerced})
-	db.undo = append(db.undo, undoRec{kind: undoInsert, handle: h, table: t.def.Name})
 	return h, nil
 }
 
@@ -774,7 +761,6 @@ func (db *DB) execStmt(s *gen.Stmt, ti *eff) (*opResult, error) {
 		}
 		for _, tp := range matched {
 			t.removeHandle(tp.handle)
-			db.undo = append(db.undo, undoRec{kind: undoDelete, handle: tp.handle, table: s.Table, old: tp.row})
 			res.deleted = append(res.deleted, delTuple{handle: tp.handle, old: tp.row})
 		}
 	case "update":
@@ -827,7 +813,6 @@ func (db *DB) execStmt(s *gen.Stmt, ti *eff) (*opResult, error) {
 		for _, p := range plans {
 			old := p.tp.row
 			p.tp.row = p.next
-			db.undo = append(db.undo, undoRec{kind: undoUpdate, handle: p.tp.handle, table: s.Table, old: old})
 			res.updated = append(res.updated, updTuple{handle: p.tp.handle, old: old, cols: cols})
 		}
 	default:
@@ -873,29 +858,32 @@ func (o Outcome) String() string {
 	}
 }
 
-// rollback undoes the open transaction in reverse order. Handles consumed
-// by the transaction are not reused — the counter stays where it is.
+// rollback restores every table to the rows, in the order, it held at
+// transaction start. Handles consumed by the transaction are not reused —
+// the counter stays where it is.
 func (db *DB) rollback() {
-	for i := len(db.undo) - 1; i >= 0; i-- {
-		rec := db.undo[i]
-		t := db.tables[rec.table]
-		switch rec.kind {
-		case undoInsert:
-			t.removeHandle(rec.handle)
-		case undoDelete:
-			t.insertTuple(&tuple{handle: rec.handle, row: rec.old})
-		case undoUpdate:
-			t.rows[t.pos[rec.handle]].row = rec.old
+	for name, rows := range db.saved {
+		t := db.tables[name]
+		t.rows = t.rows[:0]
+		clear(t.pos)
+		for _, tp := range rows {
+			t.insertTuple(&tuple{handle: tp.handle, row: tp.row})
 		}
 	}
-	db.undo = db.undo[:0]
 }
 
 // RunTxn executes one operation block as a transaction: external segments
 // split at PROCESS RULES triggering points, rule processing after each
 // segment, commit or rollback at the end (Figure 1).
 func (db *DB) RunTxn(stmts []gen.Stmt) Outcome {
-	db.undo = db.undo[:0]
+	// Updates assign tuple.row in place, so save the tuples by value.
+	for name, t := range db.tables {
+		rows := db.saved[name][:0]
+		for _, tp := range t.rows {
+			rows = append(rows, *tp)
+		}
+		db.saved[name] = rows
+	}
 	clear := func() {
 		for _, r := range db.rules {
 			r.transInfo = nil
@@ -953,7 +941,6 @@ func (db *DB) RunTxn(stmts []gen.Stmt) Outcome {
 			return done
 		}
 	}
-	db.undo = db.undo[:0]
 	clear()
 	return Outcome{Kind: Committed, Firings: firings}
 }

@@ -8,12 +8,13 @@
 // them is copied on its first mutation. A one-row update therefore copies
 // one chunk, the spine and a trie path, not the table.
 //
-// Ownership is decided by generation. Every publish advances the store's
-// generation; every chunk, spine, trie node and index bucket records the
-// generation it was made in. A component stamped with the current
-// generation was made since the last publish, so no snapshot can reach it
-// and the writer mutates it in place. Any other component may be
-// reachable from a published snapshot and is copied first. Publishing
+// Ownership is decided by generation. Every publish and every Begin
+// advances the store's generation; every chunk, spine, trie node and index
+// bucket records the generation it was made in. A component stamped with
+// the current generation was made since the last publish or Begin, so
+// neither a snapshot nor a version saved for Rollback can reach it, and
+// the writer mutates it in place. Any other component may be reachable
+// from one and is copied first. Publishing or beginning a transaction
 // therefore freezes every component at once without visiting any of
 // them.
 package storage
@@ -28,9 +29,9 @@ const (
 )
 
 // cowState is the writer's copy-on-write clock: the current generation,
-// advanced by every publish, and the number of cells (spine entries, chunk
-// slots, trie slots, index bucket handles) that copy-on-write has copied
-// so far.
+// advanced by every publish and Begin, and the number of cells (spine
+// entries, chunk slots, trie slots, index bucket handles) that
+// copy-on-write has copied so far.
 type cowState struct {
 	gen    uint64
 	copied int64

@@ -6,9 +6,9 @@
 // trie's root-to-leaf path to that key and that key's handle bucket, never
 // the other buckets. Indexes are maintained incrementally by the
 // tuple-mutation primitives in storage.go (applyInsert, applyRemove,
-// applySet), which the undo log also goes through, so rollback unwinds
-// index state for free. NULLs are not indexed: `col = x` is never True
-// when col is NULL.
+// applySet); rollback reinstates the table versions, indexes included,
+// that the transaction replaced. NULLs are not indexed: `col = x` is never
+// True when col is NULL.
 //
 // Keyspaces. Stored values are keyed with value.KeyExact; because
 // coerceRow forces every stored value to its column's declared kind, an

@@ -101,6 +101,19 @@ func lookupTable(cat *catalog.Catalog, tables map[string]*tableData, name string
 	return td, nil
 }
 
+// findIn locates the tuple with handle h by asking each table's handle
+// directory in turn: one probe per table, and a handle lives in exactly one
+// table, so the map's iteration order does not matter. It is the body
+// of Store.find and Snapshot.Get.
+func findIn(tables map[string]*tableData, h Handle) (*Tuple, bool) {
+	for _, td := range tables {
+		if pos, ok := td.dir.get(h); ok {
+			return td.heap.at(pos), true
+		}
+	}
+	return nil, false
+}
+
 // scanTable runs fn over the table's rows in physical order, bumping the
 // heap-scan counter.
 func scanTable(td *tableData, c *accessCounters, fn func(*Tuple) bool) {
@@ -146,19 +159,8 @@ func (sn *Snapshot) Tuples(table string) ([]*Tuple, error) {
 	return sortedTupleClones(td), nil
 }
 
-// Get returns the tuple with the given handle. Each snapshot table carries
-// its own handle directory, but a snapshot has no store-level map from
-// handle to table (copying it would make publishes O(#handles)), so Get
-// asks every table's directory in turn. It is a test/tooling convenience,
-// not a hot path.
-func (sn *Snapshot) Get(h Handle) (*Tuple, bool) {
-	for _, td := range sn.tables {
-		if pos, ok := td.dir.get(h); ok {
-			return td.heap.at(pos), true
-		}
-	}
-	return nil, false
-}
+// Get returns the tuple with the given handle.
+func (sn *Snapshot) Get(h Handle) (*Tuple, bool) { return findIn(sn.tables, h) }
 
 // HasIndex reports whether a secondary index covers the given column of
 // the named table.

@@ -6,10 +6,11 @@
 // after a publish copies one root-to-leaf path of the trie, not the whole
 // histogram. The statistics are updated incrementally by the same three
 // tuple-mutation primitives that maintain secondary indexes and the handle
-// directory (applyInsert, applyRemove, applySet), which the undo log and
-// the WAL replay primitives also go through — so stats stay exact under
-// rollback and crash recovery with no extra machinery, and CheckStats can
-// verify them against a from-scratch rebuild after any operation history.
+// directory (applyInsert, applyRemove, applySet), which the WAL replay
+// primitives also go through, and rollback reinstates them with the rest
+// of each table version — so stats stay exact under rollback and crash
+// recovery with no extra machinery, and CheckStats can verify them against
+// a from-scratch rebuild after any operation history.
 //
 // The planner consumes them through ColumnStats (cardinality and distinct
 // counts drive join ordering and selectivity estimates) and ClassifyProbe

@@ -1,6 +1,7 @@
 // Package storage implements the in-memory relational storage engine
 // underneath the rule system: heap tables holding multisets of tuples,
-// system tuple handles, and an undo log providing transaction rollback.
+// system tuple handles, and transaction rollback by reinstating the table
+// versions a transaction replaced.
 //
 // Following the paper (Section 2), every tuple carries a "system tuple
 // handle — a distinct, non-reusable value identifying the tuple and its
@@ -107,22 +108,6 @@ type tableData struct {
 // and no two handles share a hash.
 func (h Handle) Hash() uint64 { return uint64(h) }
 
-// undoKind discriminates undo-log records.
-type undoKind int
-
-const (
-	undoInsert undoKind = iota // compensate by deleting the handle
-	undoDelete                 // compensate by re-inserting the tuple
-	undoUpdate                 // compensate by restoring old values
-)
-
-type undoRec struct {
-	kind   undoKind
-	handle Handle
-	table  string
-	oldRow Row // for undoDelete (full tuple) and undoUpdate (pre-image)
-}
-
 // accessCounters is the atomic access-path counter pair. It is shared by
 // pointer between the Store and every Snapshot it publishes, so indexed
 // and scanned reads count identically no matter which side served them.
@@ -142,13 +127,10 @@ type Store struct {
 	cat    *catalog.Catalog
 	next   Handle
 	tables map[string]*tableData
-	// owner maps every live handle to the (normalized) name of its
-	// containing table, so handle lookups are O(1) instead of a scan over
-	// all tables in nondeterministic map order. The three mutation
-	// primitives (applyInsert, applyRemove, applySet) keep it in sync;
-	// CheckHandleIndex verifies it against a full scan.
-	owner map[Handle]string
-	undo  []undoRec
+	// saved holds, for every table the open transaction has written, the
+	// version it replaced on its first write: the table as it stood at
+	// Begin. Rollback puts them back.
+	saved []*tableData
 	inTxn bool
 
 	counters *accessCounters
@@ -162,7 +144,6 @@ func New() *Store {
 	s := &Store{
 		cat:      catalog.New(),
 		tables:   make(map[string]*tableData),
-		owner:    make(map[Handle]string),
 		counters: &accessCounters{},
 	}
 	s.publish()
@@ -207,12 +188,6 @@ func (s *Store) DropTable(name string) error {
 		return err
 	}
 	s.cat = cat
-	if td, ok := s.tables[t.Name]; ok {
-		td.heap.scan(func(tup *Tuple) bool {
-			delete(s.owner, tup.Handle)
-			return true
-		})
-	}
 	delete(s.tables, t.Name)
 	s.publish()
 	return nil
@@ -224,71 +199,69 @@ func (s *Store) table(name string) (*tableData, error) {
 
 // Begin starts a transaction. Nested transactions are not supported: the
 // paper's transaction is one external operation block plus its
-// rule-generated blocks, all undone together on rollback.
+// rule-generated blocks, all undone together on rollback. Begin advances
+// the generation, which freezes every table version as it stands, so the
+// transaction's writes copy before they mutate and leave those versions
+// intact for Rollback.
 func (s *Store) Begin() error {
 	if s.inTxn {
 		return fmt.Errorf("storage: transaction already in progress")
 	}
 	s.inTxn = true
-	s.undo = s.undo[:0]
+	s.cow.gen++
 	return nil
 }
 
 // InTxn reports whether a transaction is open.
 func (s *Store) InTxn() bool { return s.inTxn }
 
-// Commit ends the transaction, discarding the undo log and publishing the
-// new committed state as the current snapshot.
+// Commit ends the transaction, dropping the versions it replaced and
+// publishing the new committed state as the current snapshot.
 func (s *Store) Commit() error {
 	if !s.inTxn {
 		return fmt.Errorf("storage: no transaction in progress")
 	}
 	s.inTxn = false
-	s.undo = s.undo[:0]
+	s.dropSaved()
 	s.publish()
 	return nil
 }
 
-// Rollback undoes every change of the current transaction, in reverse
-// order, restoring the pre-transaction state. Handles allocated during the
-// transaction are not reused afterwards. The published snapshot is left as
-// it was: the restored state is value-identical to it.
+// Rollback returns the store to its state at Begin by reinstating the
+// table versions the transaction replaced; it copies and allocates
+// nothing, however much the transaction wrote. Heap order is the
+// pre-transaction order. Handles allocated during the transaction are not
+// reused afterwards. The published snapshot is left as it was.
 func (s *Store) Rollback() error {
 	if !s.inTxn {
 		return fmt.Errorf("storage: no transaction in progress")
 	}
-	for i := len(s.undo) - 1; i >= 0; i-- {
-		rec := s.undo[i]
-		td, ok := s.tables[rec.table]
-		if !ok {
-			return fmt.Errorf("storage: rollback: table %q vanished (internal error)", rec.table)
-		}
-		switch rec.kind {
-		case undoInsert:
-			if _, err := s.applyRemove(td, rec.handle); err != nil {
-				return fmt.Errorf("storage: rollback: %w", err)
-			}
-		case undoDelete:
-			s.applyInsert(td, &Tuple{Handle: rec.handle, Table: rec.table, Values: rec.oldRow})
-		case undoUpdate:
-			if err := s.applySet(td, rec.handle, rec.oldRow); err != nil {
-				return fmt.Errorf("storage: rollback: %w", err)
-			}
-		}
+	for _, td := range s.saved {
+		s.tables[td.schema.Name] = td
 	}
 	s.inTxn = false
-	s.undo = s.undo[:0]
+	s.dropSaved()
 	return nil
 }
 
+// dropSaved empties s.saved, releasing the versions it held.
+func (s *Store) dropSaved() {
+	clear(s.saved)
+	s.saved = s.saved[:0]
+}
+
 // writable returns a version of td the writer may mutate: td itself when it
-// was made since the last publish, or else a shallow version (installed in
-// s.tables) that shares every component with td. The small per-column and
+// was made since the last publish or Begin, or else a shallow version
+// (installed in s.tables) that shares every component with td; inside a
+// transaction td is saved for Rollback. The small per-column and
 // per-index slices of trie roots are copied here; the trie nodes and heap
 // chunks are copied by the mutation primitives on first write.
 func (s *Store) writable(td *tableData) *tableData {
 	if td.gen == s.cow.gen {
 		return td
+	}
+	if s.inTxn {
+		s.saved = append(s.saved, td)
 	}
 	c := *td
 	c.gen = s.cow.gen
@@ -299,10 +272,10 @@ func (s *Store) writable(td *tableData) *tableData {
 }
 
 // applyInsert, applyRemove and applySet are the only primitives that mutate
-// a table's tuples. Both forward operations and the undo log's
-// compensations go through them, so secondary indexes and the store-level
-// handle directory stay in sync on commit and rollback alike. Each takes
-// the copy-on-write step first, so published snapshots are never touched.
+// a table's tuples. Forward operations and WAL replay go through them, so
+// the handle directory, secondary indexes and statistics stay in sync.
+// Each takes the copy-on-write step first, so published snapshots and the
+// versions saved for Rollback are never touched.
 
 func (s *Store) applyInsert(td *tableData, t *Tuple) {
 	td = s.writable(td)
@@ -315,7 +288,6 @@ func (s *Store) applyInsert(td *tableData, t *Tuple) {
 	for i, v := range t.Values {
 		td.stats[i].add(w, v)
 	}
-	s.owner[t.Handle] = td.schema.Name
 }
 
 // applyRemove deletes the tuple with handle h, returning its final values.
@@ -340,7 +312,6 @@ func (s *Store) applyRemove(td *tableData, h Handle) (Row, error) {
 	for i, v := range t.Values {
 		td.stats[i].remove(w, v)
 	}
-	delete(s.owner, h)
 	return t.Values, nil
 }
 
@@ -387,47 +358,44 @@ func sameKey(a, b value.Value) bool {
 	return oka == okb && ka == kb
 }
 
-// coerceRow validates and coerces a row against the table schema.
-func coerceRow(schema *catalog.Table, row Row) (Row, error) {
+// coerceRow validates a row against the table schema and coerces its
+// values in place.
+func coerceRow(schema *catalog.Table, row Row) error {
 	if len(row) != len(schema.Columns) {
-		return nil, fmt.Errorf("storage: table %q expects %d values, got %d",
+		return fmt.Errorf("storage: table %q expects %d values, got %d",
 			schema.Name, len(schema.Columns), len(row))
 	}
-	out := make(Row, len(row))
 	for i, v := range row {
 		col := schema.Columns[i]
 		if v.IsNull() {
 			if col.NotNull {
-				return nil, fmt.Errorf("storage: NULL in NOT NULL column %s.%s", schema.Name, col.Name)
+				return fmt.Errorf("storage: NULL in NOT NULL column %s.%s", schema.Name, col.Name)
 			}
-			out[i] = v
 			continue
 		}
 		cv, err := value.Coerce(v, col.Type)
 		if err != nil {
-			return nil, fmt.Errorf("storage: column %s.%s: %v", schema.Name, col.Name, err)
+			return fmt.Errorf("storage: column %s.%s: %v", schema.Name, col.Name, err)
 		}
-		out[i] = cv
+		row[i] = cv
 	}
-	return out, nil
+	return nil
 }
 
-// Insert adds a tuple to the named table and returns its fresh handle.
+// Insert adds a tuple to the named table and returns its fresh handle. It
+// takes ownership of row: the values are coerced in place and the row
+// becomes the stored tuple's, so the caller must not use it again.
 func (s *Store) Insert(table string, row Row) (Handle, error) {
 	td, err := s.table(table)
 	if err != nil {
 		return 0, err
 	}
-	vals, err := coerceRow(td.schema, row)
-	if err != nil {
+	if err := coerceRow(td.schema, row); err != nil {
 		return 0, err
 	}
 	s.next++
 	h := s.next
-	s.applyInsert(td, &Tuple{Handle: h, Table: td.schema.Name, Values: vals})
-	if s.inTxn {
-		s.undo = append(s.undo, undoRec{kind: undoInsert, handle: h, table: td.schema.Name})
-	}
+	s.applyInsert(td, &Tuple{Handle: h, Table: td.schema.Name, Values: row})
 	return h, nil
 }
 
@@ -441,9 +409,6 @@ func (s *Store) Delete(h Handle) (table string, old Row, err error) {
 	old, err = s.applyRemove(s.tables[t.Table], h)
 	if err != nil {
 		return "", nil, err
-	}
-	if s.inTxn {
-		s.undo = append(s.undo, undoRec{kind: undoDelete, handle: h, table: t.Table, oldRow: old})
 	}
 	return t.Table, old, nil
 }
@@ -480,65 +445,26 @@ func (s *Store) Update(h Handle, assign map[int]value.Value) (table string, old 
 	if err := s.applySet(td, h, next); err != nil {
 		return "", nil, err
 	}
-	if s.inTxn {
-		s.undo = append(s.undo, undoRec{kind: undoUpdate, handle: h, table: t.Table, oldRow: old})
-	}
 	return t.Table, old, nil
 }
 
-// find locates a live tuple by handle through the store-level handle
-// directory and the table's own: two lookups instead of a scan over every
-// table.
-func (s *Store) find(h Handle) (*Tuple, bool) {
-	name, ok := s.owner[h]
-	if !ok {
-		return nil, false
-	}
-	td, ok := s.tables[name]
-	if !ok {
-		return nil, false
-	}
-	pos, ok := td.dir.get(h)
-	if !ok {
-		return nil, false
-	}
-	return td.heap.at(pos), true
-}
+// find locates a live tuple by handle.
+func (s *Store) find(h Handle) (*Tuple, bool) { return findIn(s.tables, h) }
 
 // Get returns the live tuple with the given handle.
 func (s *Store) Get(h Handle) (*Tuple, bool) { return s.find(h) }
 
-// CheckHandleIndex verifies the store-level handle directory and every
-// table's own directory against a full scan of the heaps, returning the
-// first discrepancy. Tests run it after randomized operation histories
-// (including rollbacks and replays) to prove neither directory can ever
-// disagree with the heap: every position a table's directory names must
-// hold the tuple of that handle, and the heap's shape must match its row
-// count.
+// CheckHandleIndex verifies every table's handle directory against its
+// heap, returning the first discrepancy. Tests run it after randomized
+// operation histories (including rollbacks and replays) to prove no
+// directory can ever disagree with its heap: every position a directory
+// names must hold the tuple of that handle, and the heap's shape must
+// match its row count.
 func (s *Store) CheckHandleIndex() error {
-	live := 0
-	for name, td := range s.tables {
+	for _, td := range s.tables {
 		if err := td.checkHeap(); err != nil {
 			return err
 		}
-		var err error
-		td.heap.scan(func(t *Tuple) bool {
-			got, ok := s.owner[t.Handle]
-			switch {
-			case !ok:
-				err = fmt.Errorf("storage: handle %d live in table %q but absent from the handle directory", t.Handle, name)
-			case got != name:
-				err = fmt.Errorf("storage: handle %d live in table %q but directory says %q", t.Handle, name, got)
-			}
-			live++
-			return err == nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if live != len(s.owner) {
-		return fmt.Errorf("storage: handle directory holds %d entries, tables hold %d live tuples", len(s.owner), live)
 	}
 	return nil
 }
@@ -651,7 +577,8 @@ func (s *Store) NextHandle() Handle { return s.next + 1 }
 // ---------------------------------------------------------------------------
 
 // ReplayInsert inserts a tuple with an explicit, pre-assigned handle and
-// advances the handle counter past it.
+// advances the handle counter past it. Like Insert, it takes ownership of
+// row.
 func (s *Store) ReplayInsert(table string, h Handle, row Row) error {
 	if s.inTxn {
 		return fmt.Errorf("storage: replay inside a transaction")
@@ -663,14 +590,13 @@ func (s *Store) ReplayInsert(table string, h Handle, row Row) error {
 	if err != nil {
 		return err
 	}
-	vals, err := coerceRow(td.schema, row)
-	if err != nil {
+	if err := coerceRow(td.schema, row); err != nil {
 		return err
 	}
 	if _, live := s.find(h); live {
 		return fmt.Errorf("storage: replay insert of live handle %d", h)
 	}
-	s.applyInsert(td, &Tuple{Handle: h, Table: td.schema.Name, Values: vals})
+	s.applyInsert(td, &Tuple{Handle: h, Table: td.schema.Name, Values: row})
 	if h > s.next {
 		s.next = h
 	}
@@ -691,7 +617,8 @@ func (s *Store) ReplayDelete(h Handle) error {
 }
 
 // ReplaySet overwrites the full row of a live tuple (update replay: the
-// log records final values, not deltas).
+// log records final values, not deltas). Like Insert, it takes ownership
+// of row.
 func (s *Store) ReplaySet(h Handle, row Row) error {
 	if s.inTxn {
 		return fmt.Errorf("storage: replay inside a transaction")
@@ -701,11 +628,10 @@ func (s *Store) ReplaySet(h Handle, row Row) error {
 		return fmt.Errorf("storage: replay set of unknown handle %d", h)
 	}
 	td := s.tables[t.Table]
-	vals, err := coerceRow(td.schema, row)
-	if err != nil {
+	if err := coerceRow(td.schema, row); err != nil {
 		return err
 	}
-	return s.applySet(td, h, vals)
+	return s.applySet(td, h, row)
 }
 
 // RestoreNextHandle advances the handle counter so that the next

@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -341,55 +345,144 @@ func TestCloneDuringTxnPanics(t *testing.T) {
 	s.Clone()
 }
 
-// Property: a random batch of inserts inside a transaction followed by
-// rollback always restores the exact prior table contents.
+// newEmpDeptStore returns the emp store with its two indexes beside a
+// second table, dept(dept_no, mgr_no), indexed on mgr_no.
+func newEmpDeptStore(t *testing.T) *Store {
+	t.Helper()
+	s := newIndexedStore(t)
+	tab, err := catalog.NewTable("dept", []catalog.Column{
+		{Name: "dept_no", Type: value.KindInt},
+		{Name: "mgr_no", Type: value.KindInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex("dept_mgr_ix", "dept", "mgr_no"); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// scanState returns every tuple of the named tables in scan order, with
+// cloned values.
+func scanState(s *Store, tables ...string) []Tuple {
+	var out []Tuple
+	for _, name := range tables {
+		s.Scan(name, func(t *Tuple) bool {
+			out = append(out, Tuple{Handle: t.Handle, Table: t.Table, Values: t.Values.Clone()})
+			return true
+		})
+	}
+	return out
+}
+
+// sameTuples reports whether a and b hold the same tuples in the same order.
+func sameTuples(a, b []Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y Tuple) bool {
+		return x.Handle == y.Handle && x.Table == y.Table && x.Values.Equal(y.Values)
+	})
+}
+
+// TestRollbackProperty: after any history of transactions over two
+// indexed tables, each committed or rolled back, every rollback restores
+// the exact contents the store held at Begin, in the same scan order, with
+// every handle directory, index and statistic consistent.
 func TestRollbackProperty(t *testing.T) {
-	f := func(salaries []float64, deleteMask []bool) bool {
-		s := newEmpStore(t)
-		var base []Handle
-		for i := 0; i < 5; i++ {
-			h, _ := s.Insert("emp", emp("base", int64(i), float64(i)*10, 1))
-			base = append(base, h)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := newEmpDeptStore(t)
+		for i := 0; i < 8; i++ {
+			s.Insert("emp", emp("base", int64(i), float64(i)*10, int64(i%3)))
+			s.Insert("dept", Row{value.NewInt(int64(i)), value.NewInt(int64(i % 4))})
 		}
-		before := snapshot(s)
-		s.Begin()
-		for i, sal := range salaries {
-			s.Insert("emp", emp("tmp", int64(100+i), sal, 2))
-		}
-		for i, del := range deleteMask {
-			if del && i < len(base) {
-				s.Delete(base[i])
-			} else if i < len(base) {
-				s.Update(base[i], map[int]value.Value{2: value.NewFloat(-1)})
+		for txn := 0; txn < 6; txn++ {
+			if rng.Intn(2) == 0 {
+				s.PublishSnapshot()
+			}
+			before := scanState(s, "emp", "dept")
+			s.Begin()
+			for op := rng.Intn(12); op > 0; op-- {
+				live := scanState(s, "emp", "dept")
+				switch k := rng.Intn(3); {
+				case k == 0 || len(live) == 0:
+					if rng.Intn(2) == 0 {
+						s.Insert("emp", emp("tmp", rng.Int63n(20), rng.Float64(), rng.Int63n(4)))
+					} else {
+						s.Insert("dept", Row{value.NewInt(rng.Int63n(10)), value.NewInt(rng.Int63n(4))})
+					}
+				case k == 1:
+					s.Delete(live[rng.Intn(len(live))].Handle)
+				default:
+					s.Update(live[rng.Intn(len(live))].Handle, map[int]value.Value{1: value.NewInt(rng.Int63n(20))})
+				}
+			}
+			if rng.Intn(3) == 0 {
+				s.Commit()
+				continue
+			}
+			if err := s.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			for _, check := range []func() error{s.CheckHandleIndex, s.CheckIndexes, s.CheckStats} {
+				if err := check(); err != nil {
+					t.Fatalf("seed %d, txn %d: %v", seed, txn, err)
+				}
+			}
+			if after := scanState(s, "emp", "dept"); !sameTuples(before, after) {
+				t.Logf("seed %d, txn %d: before %v, after rollback %v", seed, txn, before, after)
+				return false
 			}
 		}
-		s.Rollback()
-		return snapshotEqual(before, snapshot(s))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-func snapshot(s *Store) map[Handle]Row {
-	m := make(map[Handle]Row)
-	s.Scan("emp", func(t *Tuple) bool {
-		m[t.Handle] = t.Values.Clone()
-		return true
-	})
-	return m
-}
-
-func snapshotEqual(a, b map[Handle]Row) bool {
-	if len(a) != len(b) {
-		return false
+// TestRollbackCopiesNothing: Rollback reinstates the versions Begin froze,
+// so it allocates nothing and copies no cells, whether the transaction
+// wrote one row or a thousand.
+func TestRollbackCopiesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	for _, writes := range []int{1, 1000} {
+		t.Run(fmt.Sprint(writes), func(t *testing.T) {
+			s := newAcctStore(t, 2000)
+			before := scanState(s, "acct")
+			s.Begin()
+			for i := 0; i < writes; i++ {
+				h := Handle(1 + 2*i)
+				switch i % 3 {
+				case 0:
+					s.Update(h, map[int]value.Value{2: value.NewInt(int64(i))})
+				case 1:
+					s.Delete(h)
+				default:
+					s.Insert("acct", Row{value.NewInt(int64(i)), value.NewInt(1), value.NewInt(1)})
+				}
+			}
+			cells := s.CopiedCells()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			err := s.Rollback()
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := m1.Mallocs - m0.Mallocs; n != 0 {
+				t.Errorf("rollback after %d writes allocated %d times, want 0", writes, n)
+			}
+			if n := s.CopiedCells() - cells; n != 0 {
+				t.Errorf("rollback after %d writes copied %d cells, want 0", writes, n)
+			}
+			if !sameTuples(before, scanState(s, "acct")) {
+				t.Errorf("rollback after %d writes did not restore the table", writes)
+			}
+		})
 	}
-	for h, r := range a {
-		if !r.Equal(b[h]) {
-			return false
-		}
-	}
-	return true
 }
 
 func TestCatalogAccessorAndCaseLookups(t *testing.T) {

@@ -11,8 +11,8 @@
 //
 // Nodes carry the store generation, as heap chunks do (heap.go): the writer
 // mutates a node of the current generation in place and copies any other
-// node first, so a write copies one root-to-leaf path and a publish
-// freezes every trie without visiting it. A node is one slice, allocated
+// node first, so a write copies one root-to-leaf path and a publish or a
+// Begin freezes every trie without visiting it. A node is one slice, allocated
 // as one object: slot 0 is its header, whose hash field holds the node's
 // generation. The node's bitmap lives in the slot that points to it (the
 // trie itself, for the root), in that slot's hash field; a bitmap of 0
