@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sopr/internal/catalog"
 	"sopr/internal/exec"
 	"sopr/internal/rules"
 	"sopr/internal/sqlast"
@@ -166,8 +167,16 @@ type Engine struct {
 	// rules is the current rule set. Rule DDL swaps in a new immutable
 	// value (which publish shares with readers); run holds the Figure 1
 	// state of each rule, indexed by ordinal in rules.
-	rules    *rules.Set
-	run      []runState
+	rules *rules.Set
+	run   []runState
+	// bound holds each rule's condition and action statements bound
+	// against boundCat (exec.Bind), made on the rule's first
+	// consideration and reused by later ones until rule DDL replaces the
+	// rule set or DDL replaces the catalog. Bindings hold no row data; the
+	// cache is used only on the write path.
+	bound    []boundRule
+	boundSet *rules.Set
+	boundCat *catalog.Catalog
 	selector rules.Selector
 	procs    map[string]ProcFunc
 	cfg      Config
@@ -196,6 +205,31 @@ type Engine struct {
 	// planCounters is shared planner telemetry (atomics; advanced by both
 	// the write path and concurrent lock-free readers).
 	planCounters exec.PlanCounters
+}
+
+// boundRule is one rule's condition and action operation block, bound.
+type boundRule struct {
+	cond  *exec.Bound
+	block []*exec.Bound
+}
+
+// ruleBinding returns rule i's bound condition and action, binding them on
+// first use against the current catalog.
+func (e *Engine) ruleBinding(i int) *boundRule {
+	cat := e.store.Catalog()
+	if e.boundSet != e.rules || e.boundCat != cat {
+		e.bound, e.boundSet, e.boundCat = make([]boundRule, e.rules.Len()), e.rules, cat
+	}
+	br := &e.bound[i]
+	if br.cond == nil {
+		r := e.rules.Rule(i)
+		br.cond = exec.BindCondition(cat, r.Condition)
+		br.block = make([]*exec.Bound, len(r.Action.Block))
+		for j, op := range r.Action.Block {
+			br.block[j] = exec.Bind(cat, op)
+		}
+	}
+	return br
 }
 
 // runState is one rule's state in the rule-processing run of Figure 1.
@@ -720,13 +754,13 @@ func (e *Engine) processRules(res *TxnResult, transitions *int, deadline time.Ti
 		if i < 0 {
 			return false, nil
 		}
-		r, st := e.rules.Rule(i), &e.run[i]
+		r, st, br := e.rules.Rule(i), &e.run[i], e.ruleBinding(i)
 		e.seq++
 		st.lastConsidered = e.seq
 
 		// Evaluate the condition with the rule's transition tables.
 		env := e.newEnv(&rules.TransSource{Store: e.store, Effect: st.trans})
-		condHeld, err := env.EvalPredicate(r.Condition)
+		condHeld, err := env.EvalCondition(br.cond)
 		if err != nil {
 			return false, fmt.Errorf("engine: rule %q condition: %w", r.Name, err)
 		}
@@ -758,7 +792,7 @@ func (e *Engine) processRules(res *TxnResult, transitions *int, deadline time.Ti
 			return false, fmt.Errorf("%w (rule %q, limit %d)", ErrRunaway, r.Name, e.cfg.MaxRuleTransitions)
 		}
 
-		actEff, delivered, err := e.execRuleAction(r, st.trans)
+		actEff, delivered, err := e.execRuleAction(r, br, st.trans)
 		if err != nil {
 			return false, fmt.Errorf("engine: rule %q action: %w", r.Name, err)
 		}
@@ -807,7 +841,7 @@ func (e *Engine) selectTriggeredRule() (int, error) {
 // the created transition plus any result sets its SELECT operations
 // retrieved (the Section 5.1 "data retrieval in rules' actions" extension:
 // results are delivered to the client with the transaction result).
-func (e *Engine) execRuleAction(r *rules.Rule, trans *rules.Effect) (*rules.Effect, []*exec.Result, error) {
+func (e *Engine) execRuleAction(r *rules.Rule, br *boundRule, trans *rules.Effect) (*rules.Effect, []*exec.Result, error) {
 	eff := rules.NewEffect()
 	env := e.newEnv(&rules.TransSource{Store: e.store, Effect: trans})
 	if e.cfg.EnableSelectTriggers {
@@ -825,16 +859,16 @@ func (e *Engine) execRuleAction(r *rules.Rule, trans *rules.Effect) (*rules.Effe
 		return eff, nil, nil
 	}
 	var delivered []*exec.Result
-	for _, op := range r.Action.Block {
-		if sel, ok := op.(*sqlast.Select); ok {
-			qres, err := env.Query(sel)
+	for j, op := range r.Action.Block {
+		if _, ok := op.(*sqlast.Select); ok {
+			qres, err := env.QueryBound(br.block[j])
 			if err != nil {
 				return nil, nil, err
 			}
 			delivered = append(delivered, qres)
 			continue
 		}
-		opRes, err := env.ExecOp(op)
+		opRes, err := env.ExecBound(br.block[j])
 		if err != nil {
 			return nil, nil, err
 		}

@@ -372,16 +372,17 @@ func renderResult(res *Result) []string {
 // nil when the block runs FROM-order nested loops.
 func joinOrder(t *testing.T, e *Env, sel *sqlast.Select) []int {
 	t.Helper()
-	rels := make([]*relation, len(sel.From))
-	rows := make([]float64, len(sel.From))
-	for i, tr := range sel.From {
-		rel, err := e.resolveTableRef(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rels[i], rows[i] = rel, float64(len(rel.rows))
+	bs := Bind(e.Store.Catalog(), sel).sel
+	// Read every table whole, as the planner sees it without index probes.
+	rels, err := (&Env{Store: e.Store, Naive: true}).materialize(&bs.block, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plan := e.planJoins(sel.Where, rels, rows, e.distinctEstimator(rels))
+	rows := make([]float64, len(rels))
+	for i := range rels {
+		rows[i] = float64(rels[i].n)
+	}
+	plan := e.planJoins(bs.equi, rows, e.distinctEstimator(&bs.block, rels))
 	if plan == nil {
 		return nil
 	}

@@ -1,10 +1,15 @@
-// Package exec is the query and DML executor: a tree-walking evaluator for
-// the SQL dialect of the paper, over the storage engine. It supports
-// arbitrarily complex predicates with embedded (and correlated) select
-// operations, scalar and quantified subqueries, aggregates with GROUP
-// BY/HAVING, and — crucially for the rule system — FROM-clause references
-// to the paper's transition tables, resolved through a TransTableSource
-// supplied by the rule engine.
+// Package exec is the query and DML executor for the SQL dialect of the
+// paper, over the storage engine. It supports arbitrarily complex
+// predicates with embedded (and correlated) select operations, scalar and
+// quantified subqueries, aggregates with GROUP BY/HAVING, and — crucially
+// for the rule system — FROM-clause references to the paper's transition
+// tables, resolved through a TransTableSource supplied by the rule engine.
+//
+// Every statement is bound before it runs (bind.go): names are resolved
+// once to (scope depth, relation slot, column ordinal) and each expression
+// is compiled into a tree of Go closures over frames (eval.go). Evaluation
+// reads base tables in place through storage views and never looks a name
+// up.
 package exec
 
 import (
@@ -49,6 +54,8 @@ type SelectObserver interface {
 type Store interface {
 	Catalog() *catalog.Catalog
 	Scan(table string, fn func(*storage.Tuple) bool) error
+	// View returns the table's rows for reading in place, by position.
+	View(table string) (storage.View, error)
 	IndexedLookup(table string, col int, vals ...value.Value) ([]*storage.Tuple, bool, error)
 	HasIndex(table string, col int) bool
 	// Count, ColumnStats and ClassifyProbe feed the cost-based planner
@@ -69,127 +76,116 @@ var (
 	_ Store = (*storage.Snapshot)(nil)
 )
 
-// Env carries everything expression evaluation needs: the store (live or
-// snapshot), the optional transition-table source (inside rule
-// conditions/actions), and the optional select observer.
+// Env carries everything evaluation needs: the store (live or snapshot),
+// the optional transition-table source (inside rule conditions/actions),
+// and the optional select observer.
 //
 // An Env is per-evaluation scratch state, used by one goroutine at a time.
-// Evaluation keeps its intermediate state (scopes, materialized relations,
-// hash-join tables, aggregate groups) local to the call; the one result an
-// Env keeps across calls is the statement's subquery memo (see subquery),
-// which every public entry point — Query, ExecOp, EvalPredicate, Explain —
-// clears first, so nothing outlives the statement that computed it (the
-// count of visited combinations only paces yields; see visit). That
-// discipline is load-bearing for concurrency — the lock-free read path
-// (sopr.SynchronizedDB) runs many Envs over published snapshots at once,
-// so nothing here may write to the Store or to any package-level state.
-// The only shared words the read path touches are the storage layer's
-// atomic access-path counters.
+// Evaluation keeps its intermediate state (frames, relations, hash-join
+// tables, aggregate groups) local to the call; the one result an Env keeps
+// across calls is the statement's subquery memo (see subquery), which
+// every public entry point clears first, so nothing outlives the statement
+// that computed it (the count of visited combinations only paces yields;
+// see visit). That discipline is load-bearing for concurrency — the
+// lock-free read path (sopr.SynchronizedDB) runs many Envs over published
+// snapshots at once, so nothing here may write to the Store or to any
+// package-level state. The only shared words the read path touches are
+// the storage layer's atomic access-path counters.
 type Env struct {
 	Store    Store
 	Trans    TransTableSource
 	Observer SelectObserver
 	// Naive turns every optimization off: heap scans instead of index
-	// probes (indexProbeFor) and FROM-order nested loops instead of planned
-	// joins (planJoins). It is the reference configuration of the
-	// differential tests and the baseline of the ablation benchmarks;
+	// probes (probeFor), FROM-order nested loops instead of planned
+	// joins (planJoins), and every subquery evaluated where it is used
+	// instead of once per statement (subquery). It is the reference
+	// configuration of the differential tests and the baseline of the
+	// ablation benchmarks; it uses the same binder and evaluator, and
 	// semantics are identical either way.
 	Naive bool
 	// Counters, when non-nil, receives planner telemetry (shared across
 	// the engine's Envs; all fields are atomics).
 	Counters *PlanCounters
 
-	memo    map[*sqlast.Select]memoEntry // this statement's subqueries; created on first use
-	visited int                          // combinations visited, which paces yields (see visit)
+	memo    map[*boundSelect]memoEntry // this statement's subqueries; created on first use
+	visited int                        // combinations visited, which paces yields (see visit)
+	root    frame                      // the frame of expressions outside any block
 }
 
-// memoEntry is what the statement knows about one subquery: whether it is
-// closed and, if so, its one evaluation's outcome.
+// memoEntry is one closed subquery's evaluation in this statement, and the
+// hashed form of its rows once an IN predicate has asked for it.
 type memoEntry struct {
-	closed bool
-	res    *Result
-	err    error
+	res *Result
+	err error
+	set *inSet
 }
 
-// subquery evaluates the embedded select sub in scope sc. A closed
-// subquery — every column reference in it resolves inside it, decided by
-// the free-variable walk of access.go — is evaluated at most once per
-// statement and its result or error reused; a correlated one is evaluated
-// on every call. This is sound because a statement evaluates against one
-// state: DML evaluates all its predicates and assignments before modifying
-// anything, transition tables are fixed while an action statement runs,
-// and select observation (Section 5.1) is idempotent. The memo is filled
-// on first use, so a subquery whose outer relation is empty is never
-// evaluated, and it is off under Naive, the reference configuration.
-func (e *Env) subquery(sub *sqlast.Select, sc *scope) (*Result, error) {
-	if e.Naive {
-		return e.evalSelect(sub, sc)
-	}
-	m, ok := e.memo[sub]
+// rootFrame returns the frame that expressions outside any query block
+// evaluate in: rule conditions, VALUES rows and top-level LIMITs.
+func (e *Env) rootFrame() *frame {
+	e.root.env = e
+	return &e.root
+}
+
+// subquery evaluates the bound subquery sub with parent frame fr. A closed
+// subquery — no reference in it binds outside it (the binder's deps) — is
+// evaluated at most once per statement and its result or error reused; a
+// correlated one is evaluated on every call. This is sound because a
+// statement evaluates against one state: DML evaluates all its predicates
+// and assignments before modifying anything, transition tables are fixed
+// while an action statement runs, and select observation (Section 5.1) is
+// idempotent. The memo is filled on first use, so a subquery whose outer
+// relation is empty is never evaluated, and it is off under Naive, the
+// reference configuration.
+func (e *Env) subquery(sub *boundSelect, fr *frame) (*Result, error) {
+	m, ok := e.memoized(sub, fr)
 	if !ok {
-		if m.closed = !e.selectMayReferToBlock(sub, nil, nil); m.closed {
-			m.res, m.err = e.evalSelect(sub, sc)
-		}
-		if e.memo == nil {
-			e.memo = make(map[*sqlast.Select]memoEntry)
-		}
-		e.memo[sub] = m
-	}
-	if !m.closed {
-		return e.evalSelect(sub, sc)
+		return e.evalSelect(sub, fr)
 	}
 	return m.res, m.err
 }
 
-// boundRow is one variable binding in a scope: the relation's binding name,
-// its column names, the current row, and the underlying tuple handle (0 for
-// synthetic rows such as projected subquery output).
-type boundRow struct {
-	binding string
-	table   string // base table name ("" for derived)
-	cols    []string
-	row     storage.Row
-	handle  storage.Handle
-	// trans marks rows from transition tables: rule-local data whose reads
-	// are not "selections" of the database (Section 5.1).
-	trans bool
-}
-
-// scope is a lexical scope: the bindings of one query block. Scopes nest
-// for correlated subqueries; resolution searches innermost-out.
-type scope struct {
-	parent *scope
-	vars   []*boundRow
-	// groupRows, when non-nil, marks an aggregate evaluation context:
-	// aggregate functions range over this group's members, each a full set
-	// of row positions for this scope's FROM list.
-	groupRows *group
-}
-
-// lookup resolves a column reference to (binding, column index).
-func (s *scope) lookup(qualifier, column string) (*boundRow, int, error) {
-	for sc := s; sc != nil; sc = sc.parent {
-		var found *boundRow
-		idx := -1
-		for _, b := range sc.vars {
-			if qualifier != "" && b.binding != qualifier {
-				continue
-			}
-			for i, c := range b.cols {
-				if c == column {
-					if found != nil {
-						return nil, 0, fmt.Errorf("exec: ambiguous column reference %q", refName(qualifier, column))
-					}
-					found = b
-					idx = i
-				}
-			}
-		}
-		if found != nil {
-			return found, idx, nil
-		}
+// memoized returns sub's memo entry, evaluating it on first use; ok is
+// false when sub is not memoized (correlated, or under Naive).
+func (e *Env) memoized(sub *boundSelect, fr *frame) (memoEntry, bool) {
+	if e.Naive || !sub.closed {
+		return memoEntry{}, false
 	}
-	return nil, 0, fmt.Errorf("exec: unknown column %q", refName(qualifier, column))
+	m, ok := e.memo[sub]
+	if !ok {
+		m.res, m.err = e.evalSelect(sub, fr)
+		if e.memo == nil {
+			e.memo = make(map[*boundSelect]memoEntry)
+		}
+		e.memo[sub] = m
+	}
+	return m, true
+}
+
+// frame is one query block's row bindings during evaluation: the current
+// row of each FROM relation, by slot. Frames nest as blocks do, so a
+// column reference bound to (depth, slot, ordinal) walks depth parents and
+// reads rows[slot][ordinal]. In the block's group phase (HAVING, the
+// select list and ORDER BY of an aggregating block), group is the group
+// being output.
+type frame struct {
+	env    *Env
+	parent *frame
+	rows   []storage.Row
+	group  *group
+	saved  []storage.Row // scratch of aggregates rebinding rows to members
+	buf    [2]storage.Row
+}
+
+// newFrame returns a frame for a block of n relations inside parent.
+func (e *Env) newFrame(n int, parent *frame) *frame {
+	fr := &frame{env: e, parent: parent}
+	if n <= len(fr.buf) {
+		fr.rows = fr.buf[:n]
+	} else {
+		fr.rows = make([]storage.Row, n)
+	}
+	return fr
 }
 
 func refName(q, c string) string {
@@ -199,65 +195,98 @@ func refName(q, c string) string {
 	return c
 }
 
-// relation is a materialized input to a query block: a binding name, its
-// columns, and its rows.
+// relation is one FROM entry's rows during a block's evaluation: a base
+// table read in place through a storage view, or materialized rows (a
+// transition table, the tuples an index probe returned).
 type relation struct {
-	binding string
-	table   string
-	cols    []string
-	rows    []TransRow
-	trans   bool // transition table (see boundRow.trans)
+	n    int
+	rows []TransRow   // the rows, unless the relation reads view
+	view storage.View // the base table, read in place when rows is nil
 }
 
-// resolveTableRef materializes a FROM-clause entry.
-func (e *Env) resolveTableRef(tr *sqlast.TableRef) (*relation, error) {
-	if tr.Trans == sqlast.TransNone {
-		schema, err := e.Store.Catalog().Lookup(tr.Table)
-		if err != nil {
-			return nil, err
-		}
-		n, err := e.Store.Count(schema.Name)
-		if err != nil {
-			return nil, err
-		}
-		rel := &relation{binding: tr.Binding(), table: schema.Name, cols: schema.ColumnNames(), rows: make([]TransRow, 0, n)}
-		err = e.Store.Scan(schema.Name, func(t *storage.Tuple) bool {
-			rel.rows = append(rel.rows, TransRow{Handle: t.Handle, Values: t.Values})
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		return rel, nil
+// row returns the values of the row at position p.
+func (r *relation) row(p int32) storage.Row {
+	if r.rows != nil {
+		return r.rows[p].Values
 	}
-	// Transition table.
-	if e.Trans == nil {
-		return nil, fmt.Errorf("exec: transition table %q referenced outside a rule", tr.String())
-	}
-	schema, err := e.Store.Catalog().Lookup(tr.Table)
-	if err != nil {
-		return nil, err
-	}
-	if tr.Column != "" && !schema.HasColumn(tr.Column) {
-		return nil, fmt.Errorf("exec: table %q has no column %q", tr.Table, tr.Column)
-	}
-	rows, err := e.Trans.TransRows(tr.Trans, schema.Name, tr.Column)
-	if err != nil {
-		return nil, err
-	}
-	return &relation{binding: tr.Binding(), table: schema.Name, cols: schema.ColumnNames(), rows: rows, trans: true}, nil
+	return r.view.At(int(p)).Values
 }
 
-// lookupSchema returns the catalog schema for a base table.
-func (e *Env) lookupSchema(name string) (*catalog.Table, error) {
-	return e.Store.Catalog().Lookup(name)
+// handle returns the tuple handle of the row at position p.
+func (r *relation) handle(p int32) storage.Handle {
+	if r.rows != nil {
+		return r.rows[p].Handle
+	}
+	return r.view.At(int(p)).Handle
 }
 
-// observe reports a base-table tuple read, when select observation is on.
-// Transition-table rows are rule-local data and are never observed.
-func (e *Env) observe(b *boundRow) {
-	if e.Observer != nil && !b.trans && b.handle != 0 && b.table != "" {
-		e.Observer.TupleSelected(b.table, b.handle)
+// materialize resolves the FROM entries of blk in order, each through an
+// index probe when a sargable conjunct allows it (access.go), through a
+// view of the table otherwise, or from the transition-table source.
+// Errors come in FROM order, each entry's as the entry is reached.
+func (e *Env) materialize(blk *block, fr *frame) ([]relation, error) {
+	rels := make([]relation, len(blk.from))
+	for i := range blk.from {
+		f := &blk.from[i]
+		if f.tr.Trans != sqlast.TransNone && e.Trans == nil {
+			return nil, fmt.Errorf("exec: transition table %q referenced outside a rule", f.tr.String())
+		}
+		if f.err != nil {
+			return nil, f.err
+		}
+		if err := e.fill(&rels[i], blk, i, fr); err != nil {
+			return nil, err
+		}
+		if f.dup {
+			return nil, fmt.Errorf("exec: duplicate table binding %q in FROM (use aliases)", f.binding)
+		}
+	}
+	return rels, nil
+}
+
+// fill materializes FROM entry i of blk into rel.
+func (e *Env) fill(rel *relation, blk *block, i int, fr *frame) error {
+	f := &blk.from[i]
+	if f.tr.Trans != sqlast.TransNone {
+		rows, err := e.Trans.TransRows(f.tr.Trans, f.schema.Name, f.tr.Column)
+		rel.rows, rel.n = rows, len(rows)
+		return err
+	}
+	if probe := e.probeFor(blk, i, fr); probe != nil {
+		tuples, ok, err := e.Store.IndexedLookup(f.schema.Name, probe.col, probe.vals...)
+		if err != nil {
+			return err
+		}
+		if ok {
+			rel.rows, rel.n = make([]TransRow, len(tuples)), len(tuples)
+			for j, t := range tuples {
+				rel.rows[j] = TransRow{Handle: t.Handle, Values: t.Values}
+			}
+			return nil
+		}
+		// Planned probe declined at lookup time (the 2^53
+		// integer-keyspace fallback): count it, then read the table.
+		if e.Counters != nil {
+			e.Counters.ProbeFallbacks.Add(1)
+		}
+	}
+	v, err := e.Store.View(f.schema.Name)
+	rel.view, rel.n = v, v.Len()
+	return err
+}
+
+// observe reports the base-table tuples of one visited combination, when
+// select observation is on. Transition-table rows are rule-local data and
+// are never observed.
+func (e *Env) observe(blk *block, rels []relation, pos []int32) {
+	for i := range rels {
+		f := &blk.from[i]
+		if f.tr.Trans != sqlast.TransNone {
+			continue
+		}
+		if h := rels[i].handle(pos[i]); h != 0 {
+			e.Observer.TupleSelected(f.schema.Name, h)
+		}
 	}
 }
 

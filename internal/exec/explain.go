@@ -19,17 +19,18 @@ import (
 // Explain renders the chosen plan for a SELECT or DML statement.
 func (e *Env) Explain(stmt sqlast.Statement) (*Result, error) {
 	clear(e.memo)
+	b := Bind(e.Store.Catalog(), stmt)
 	var lines []string
 	var err error
 	switch s := stmt.(type) {
 	case *sqlast.Select:
-		lines, err = e.explainSelect(s, 0)
+		lines, err = e.explainSelect(b.sel, 0)
 	case *sqlast.Insert:
-		lines, err = e.explainInsert(s)
+		lines, err = e.explainInsert(s, b.dml)
 	case *sqlast.Delete:
-		lines, err = e.explainMatch("delete from "+s.Table, &sqlast.TableRef{Table: s.Table, Alias: s.Alias}, s.Where)
+		lines, err = e.explainMatch("delete from "+s.Table, b.dml, s.Where)
 	case *sqlast.Update:
-		lines, err = e.explainMatch("update "+s.Table, &sqlast.TableRef{Table: s.Table, Alias: s.Alias}, s.Where)
+		lines, err = e.explainMatch("update "+s.Table, b.dml, s.Where)
 	default:
 		return nil, fmt.Errorf("exec: cannot explain %T", stmt)
 	}
@@ -50,7 +51,8 @@ type accessPath struct {
 }
 
 // explainSelect renders one query block at the given indent depth.
-func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
+func (e *Env) explainSelect(bs *boundSelect, depth int) ([]string, error) {
+	sel := bs.sel
 	ind := strings.Repeat("  ", depth)
 	mode := "cost-based planner"
 	if e.Naive {
@@ -61,10 +63,10 @@ func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
 		lines = append(lines, ind+strings.Repeat("  ", extra+1)+s)
 	}
 
-	infos := e.planBindings(sel.From)
-	paths := make([]accessPath, len(sel.From))
-	for i, tr := range sel.From {
-		p, err := e.explainAccess(tr, i, sel.Where, infos)
+	fr := e.newFrame(len(bs.from), e.rootFrame())
+	paths := make([]accessPath, len(bs.from))
+	for i := range bs.from {
+		p, err := e.explainAccess(&bs.block, i, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +90,7 @@ func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
 	if sel.Distinct {
 		add(0, "distinct")
 	}
-	if selectAggregates(sel) {
+	if bs.agg {
 		if len(sel.GroupBy) > 0 {
 			parts := make([]string, len(sel.GroupBy))
 			for i, g := range sel.GroupBy {
@@ -110,36 +112,36 @@ func (e *Env) explainSelect(sel *sqlast.Select, depth int) ([]string, error) {
 	case len(sel.From) == 1:
 		add(0, paths[0].desc)
 	default:
-		for _, jl := range e.explainJoins(sel, infos, paths) {
+		for _, jl := range e.explainJoins(&bs.block, paths) {
 			add(0, jl)
 		}
 	}
 	return lines, nil
 }
 
-// explainAccess mirrors materializeFrom's choice for one FROM entry (or
+// explainAccess mirrors fill's choice for FROM entry target of blk (or
 // the single table of a DELETE/UPDATE), using ClassifyProbe to cost the
 // probe at plan time — including the 2^53 integer-keyspace fallback, which
 // is reported (and costed) as a scan.
-func (e *Env) explainAccess(tr *sqlast.TableRef, target int, where sqlast.Expr, infos []fromBinding) (accessPath, error) {
-	name := tr.Binding()
-	if tr.Trans != sqlast.TransNone {
-		return accessPath{desc: "transition scan " + strings.ToLower(tr.String()) + " (rows ?)", rows: 1}, nil
+func (e *Env) explainAccess(blk *block, target int, fr *frame) (accessPath, error) {
+	f := &blk.from[target]
+	if f.tr.Trans != sqlast.TransNone {
+		return accessPath{desc: "transition scan " + strings.ToLower(f.tr.String()) + " (rows ?)", rows: 1}, nil
 	}
-	schema := infos[target].schema
+	schema := f.schema
 	if schema == nil {
-		return accessPath{}, fmt.Errorf("exec: unknown table %q", tr.Table)
+		return accessPath{}, fmt.Errorf("exec: unknown table %q", f.tr.Table)
 	}
 	rows, err := e.Store.Count(schema.Name)
 	if err != nil {
 		return accessPath{}, err
 	}
 	label := schema.Name
-	if name != schema.Name {
+	if name := f.tr.Binding(); name != schema.Name {
 		label += " " + name
 	}
 	seq := accessPath{desc: fmt.Sprintf("seq scan %s (rows %d)", label, rows), rows: float64(rows)}
-	probe := e.indexProbeFor(where, target, infos, nil)
+	probe := e.probeFor(blk, target, fr)
 	if probe == nil {
 		return seq, nil
 	}
@@ -172,20 +174,12 @@ func (e *Env) explainAccess(tr *sqlast.TableRef, target int, where sqlast.Expr, 
 // explainJoins renders the join tree for a multi-relation block: the plan
 // planJoins returns — the same decision the executor makes — or, when it
 // returns nil, the nested-loop (FROM-order) tree.
-func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []accessPath) []string {
-	prels := make([]*relation, len(infos))
-	rows := make([]float64, len(infos))
-	for i, fb := range infos {
-		rel := &relation{binding: fb.binding}
-		if fb.schema != nil {
-			rel.table = fb.schema.Name
-			rel.cols = fb.schema.ColumnNames()
-		}
-		rel.trans = sel.From[i].Trans != sqlast.TransNone
-		prels[i] = rel
-		rows[i] = paths[i].rows
+func (e *Env) explainJoins(blk *block, paths []accessPath) []string {
+	rows := make([]float64, len(paths))
+	for i, p := range paths {
+		rows[i] = p.rows
 	}
-	plan := e.planJoins(sel.Where, prels, rows, e.statsDistinctEstimator(prels))
+	plan := e.planJoins(blk.equi, rows, e.statsDistinctEstimator(blk))
 	if plan == nil {
 		lines := []string{"nested loop (FROM order)"}
 		for _, p := range paths {
@@ -195,13 +189,14 @@ func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []acce
 	}
 
 	// Render the left-deep tree from the root down.
+	column := func(rel, col int) string {
+		return blk.from[rel].binding + "." + blk.from[rel].schema.Columns[col].Name
+	}
 	lines := []string{paths[plan.start].desc}
 	for _, st := range plan.steps {
 		var on []string
 		for _, c := range st.conds {
-			eq := fmt.Sprintf("%s.%s = %s.%s",
-				prels[c.lrel].binding, prels[c.lrel].cols[c.lcol],
-				prels[c.rrel].binding, prels[c.rrel].cols[c.rcol])
+			eq := column(c.lrel, c.lcol) + " = " + column(c.rrel, c.rcol)
 			if c.exact {
 				eq += " [exact]"
 			}
@@ -224,11 +219,10 @@ func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []acce
 // statsDistinctEstimator is the plan-time (no materialized rows) variant
 // of distinctEstimator: base tables use column statistics, everything else
 // estimates a single distinct value.
-func (e *Env) statsDistinctEstimator(rels []*relation) func(rel, col int) float64 {
+func (e *Env) statsDistinctEstimator(blk *block) func(rel, col int) float64 {
 	return func(rel, col int) float64 {
-		r := rels[rel]
-		if !r.trans && r.table != "" {
-			if cs, err := e.Store.ColumnStats(r.table, col); err == nil {
+		if f := &blk.from[rel]; f.tr.Trans == sqlast.TransNone && f.schema != nil {
+			if cs, err := e.Store.ColumnStats(f.schema.Name, col); err == nil {
 				return float64(cs.Distinct)
 			}
 		}
@@ -236,13 +230,13 @@ func (e *Env) statsDistinctEstimator(rels []*relation) func(rel, col int) float6
 	}
 }
 
-func (e *Env) explainInsert(s *sqlast.Insert) ([]string, error) {
-	if _, err := e.lookupSchema(s.Table); err != nil {
-		return nil, err
+func (e *Env) explainInsert(s *sqlast.Insert, d *boundDML) ([]string, error) {
+	if d.schema == nil {
+		return nil, d.err
 	}
 	if s.Query != nil {
 		lines := []string{fmt.Sprintf("insert into %s (from select)", s.Table)}
-		sub, err := e.explainSelect(s.Query, 1)
+		sub, err := e.explainSelect(d.query, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -253,12 +247,11 @@ func (e *Env) explainInsert(s *sqlast.Insert) ([]string, error) {
 
 // explainMatch renders the access path of a DELETE/UPDATE predicate scan
 // (matchTuples in dml.go) through explainAccess.
-func (e *Env) explainMatch(head string, tr *sqlast.TableRef, where sqlast.Expr) ([]string, error) {
-	schema, err := e.lookupSchema(tr.Table)
-	if err != nil {
-		return nil, err
+func (e *Env) explainMatch(head string, d *boundDML, where sqlast.Expr) ([]string, error) {
+	if d.schema == nil {
+		return nil, d.err
 	}
-	p, err := e.explainAccess(tr, 0, where, []fromBinding{{binding: tr.Binding(), schema: schema}})
+	p, err := e.explainAccess(&d.target, 0, e.newFrame(1, e.rootFrame()))
 	if err != nil {
 		return nil, err
 	}

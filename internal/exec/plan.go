@@ -1,32 +1,38 @@
 package exec
 
-// Cost-based Volcano-style join planning. The paper's premise is that
-// set-oriented rule processing inherits the full query optimizer: "queries
-// resulting from rule conditions and actions are processed by the query
-// optimizer just like user-submitted queries" (Section 6). This file is
-// that optimizer: multi-relation FROM lists whose WHERE carries equi-join
-// conjuncts are executed through a tree of iterator operators — scan at
-// the leaves, hash joins above — with the join order chosen greedily from
-// per-table cardinality and per-column distinct-value statistics
-// maintained incrementally by internal/storage. planJoins is the one join
-// decision: the executor (forEachCombo) and EXPLAIN (explainJoins) both
-// call it, and a nil plan means FROM-order nested loops.
+// Cost-based join planning. The paper's premise is that set-oriented
+// rule processing inherits the full query optimizer: "queries resulting
+// from rule conditions and actions are processed by the query optimizer
+// just like user-submitted queries" (Section 6). This file is that
+// optimizer: multi-relation FROM lists whose WHERE carries equi-join
+// conjuncts are executed as a left-deep sequence of hash joins, with the
+// join order chosen greedily from per-table cardinality and per-column
+// distinct-value statistics maintained incrementally by internal/storage.
+// planJoins is the one join decision: the executor (forEachCombo) and
+// EXPLAIN (explainJoins) both call it, and a nil plan means FROM-order
+// nested loops.
 //
 // Semantics preservation: a combination may be skipped only when a
 // null-rejecting top-level AND equi-conjunct (`a.x = b.y`) rules it out —
 // under three-valued logic a False or Unknown conjunct makes the whole AND
-// non-True — and the full WHERE is still evaluated on every surviving
-// combination. A conjunct is only used when its two declared column kinds
+// non-True. A conjunct is only used when its two declared column kinds
 // are comparable (the same kind, or both numeric), so skipping never hides
-// the comparison error the nested loop would report. Surviving
-// combinations are drained into one flat arena of row positions and put
-// back into the nested-loop odometer's emission order (lexicographic on
-// the position vector) by a stable counting sort per position, least
-// significant first, so result order, select-observation, and
-// residual-predicate behavior are indistinguishable from the naive
-// driver. Like the index access path (access.go), WHERE is evaluated
-// only on surviving combinations, so a residual conjunct that would error
-// on a skipped combination does not error here.
+// the comparison error the nested loop would report. The conjuncts a hash
+// step enforces are not evaluated again: a surviving combination's keys
+// are equal, which in the conjunct's keyspace (condKey) implies that the
+// two values compare equal, and NULL keys never match, so each enforced
+// conjunct is True on every surviving combination and cannot error. The
+// residual — WHERE with those conjuncts taken out — is evaluated on every
+// surviving combination. Each step maps the combinations joined so far
+// into one exactly sized arena of row positions (count the matches of
+// every combination, then fill), and the last arena is put back into the
+// nested-loop odometer's emission order (lexicographic on the position
+// vector) by a stable counting sort per position, least significant
+// first, so result order, select-observation, and residual-predicate
+// behavior are indistinguishable from the naive driver. Like the index
+// access path (access.go), WHERE is evaluated only on surviving
+// combinations, so a residual conjunct that would error on a skipped
+// combination does not error here.
 
 import (
 	"slices"
@@ -52,8 +58,9 @@ type PlanCounters struct {
 const maxJoinKeyCols = 4
 
 // equiCond is one top-level AND conjunct `a.x = b.y` whose two column
-// references resolve uniquely to two different FROM relations.
+// references bind to two different FROM relations of its block.
 type equiCond struct {
+	conj       int // the conjunct's position in the block's WHERE
 	lrel, lcol int
 	rrel, rcol int
 	// exact selects the exact-integer keyspace: both columns are declared
@@ -61,71 +68,22 @@ type equiCond struct {
 	exact bool
 }
 
-// collectEquiConds walks the top-level AND tree of where and returns every
-// equi-join conjunct between two distinct relations of rels whose column
-// kinds are comparable. A reference that is ambiguous at this scope level,
-// or does not resolve here at all (it may be a correlated outer
-// reference), never yields a conjunct.
-func (e *Env) collectEquiConds(where sqlast.Expr, rels []*relation) []equiCond {
-	var out []equiCond
-	var walk func(x sqlast.Expr)
-	walk = func(x sqlast.Expr) {
-		b, ok := x.(*sqlast.Binary)
-		if !ok {
-			return
-		}
-		if b.Op == sqlast.OpAnd {
-			walk(b.L)
-			walk(b.R)
-			return
-		}
-		if b.Op != sqlast.OpEq {
-			return
-		}
-		lref, lok := b.L.(*sqlast.ColumnRef)
-		rref, rok := b.R.(*sqlast.ColumnRef)
-		if !lok || !rok {
-			return
-		}
-		lc, lr := resolveInRels(lref, rels)
-		rc, rr := resolveInRels(rref, rels)
-		if lr < 0 || rr < 0 || lr == rr {
-			return
-		}
-		exact, ok := e.condExact(rels, lr, lc, rr, rc)
-		if !ok {
-			return
-		}
-		out = append(out, equiCond{lrel: lr, lcol: lc, rrel: rr, rcol: rc, exact: exact})
+// equiOf reports whether conjunct i of blk, an equality, is an equi-join
+// conjunct: both sides are columns of two different relations of the
+// block whose kinds are comparable. A reference that is ambiguous, or
+// binds to an enclosing block, never yields one.
+func equiOf(blk *block, i int, c *conjunct) (equiCond, bool) {
+	l, r := c.l, c.r
+	if l.leaf != leafCol || r.leaf != leafCol || l.ref.depth != 0 || r.ref.depth != 0 || l.ref.slot == r.ref.slot {
+		return equiCond{}, false
 	}
-	walk(where)
-	return out
-}
-
-// resolveInRels resolves a column reference uniquely against the block's
-// relations, mirroring scope.lookup's innermost-level matching. Ambiguous
-// or unresolvable references return rel -1.
-func resolveInRels(ref *sqlast.ColumnRef, rels []*relation) (col, rel int) {
-	rel, col = -1, -1
-	for ri, r := range rels {
-		if ref.Qualifier != "" && ref.Qualifier != r.binding {
-			continue
-		}
-		for ci, c := range r.cols {
-			if c == ref.Column {
-				if rel >= 0 {
-					return -1, -1 // ambiguous
-				}
-				rel, col = ri, ci
-			}
-		}
-	}
-	return col, rel
+	exact, ok := condExact(blk, l.ref, r.ref)
+	return equiCond{conj: i, lrel: l.ref.slot, lcol: l.ref.ord, rrel: r.ref.slot, rcol: r.ref.ord, exact: exact}, ok
 }
 
 // condExact classifies a candidate conjunct by its columns' declared
-// kinds. ok is false unless both kinds are known and comparable — the same
-// kind, or both numeric — since comparing any other pair is an evaluation
+// kinds. ok is false unless both kinds are comparable — the same kind, or
+// both numeric — since comparing any other pair is an evaluation
 // error that the nested loop reports and a hash join would skip silently.
 // exact selects the keyspace: when both columns are declared INTEGER every
 // stored value is an int64 (coerceRow enforces column kind homogeneity)
@@ -133,27 +91,14 @@ func resolveInRels(ref *sqlast.ColumnRef, rels []*relation) (col, rel int) {
 // distinct buckets. Any other combination goes through the float-image
 // keyspace, matching value.Compare's cross-kind equality (which converts
 // mixed int/float operands to float64).
-func (e *Env) condExact(rels []*relation, lr, lc, rr, rc int) (exact, ok bool) {
-	k0, ok0 := e.relColumnKind(rels[lr], lc)
-	k1, ok1 := e.relColumnKind(rels[rr], rc)
+func condExact(blk *block, l, r colRef) (exact, ok bool) {
+	k0 := blk.from[l.slot].schema.Columns[l.ord].Type
+	k1 := blk.from[r.slot].schema.Columns[r.ord].Type
 	numeric := func(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
-	if !ok0 || !ok1 || (k0 != k1 && !(numeric(k0) && numeric(k1))) {
+	if k0 != k1 && !(numeric(k0) && numeric(k1)) {
 		return false, false
 	}
 	return k0 == value.KindInt && k1 == value.KindInt, true
-}
-
-// relColumnKind reports the declared kind of a relation's column, when
-// the relation is backed by a catalog schema (base or transition table).
-func (e *Env) relColumnKind(rel *relation, col int) (value.Kind, bool) {
-	if rel.table == "" {
-		return value.KindNull, false
-	}
-	schema, err := e.lookupSchema(rel.table)
-	if err != nil || col < 0 || col >= len(schema.Columns) {
-		return value.KindNull, false
-	}
-	return schema.Columns[col].Type, true
 }
 
 // joinStep joins relation right into the set built so far.
@@ -172,11 +117,11 @@ type joinPlan struct {
 	steps []joinStep
 }
 
-// planJoins is the join decision for a multi-relation block, shared by
-// the executor (materialized row counts, distinctEstimator) and EXPLAIN
-// (estimated row counts, statsDistinctEstimator). It returns nil — run
-// FROM-order nested loops — under Naive, for a block with no WHERE, or
-// when WHERE has no usable equi-join conjunct.
+// planJoins is the join decision for a multi-relation block with
+// equi-join conjuncts conds, shared by the executor (materialized row
+// counts, distinctEstimator) and EXPLAIN (estimated row counts,
+// statsDistinctEstimator). It returns nil — run FROM-order nested loops —
+// under Naive, or when WHERE has no usable equi-join conjunct.
 //
 // Otherwise it picks a left-deep order greedily: start from the smallest
 // relation, then repeatedly join the connected relation with the lowest
@@ -184,12 +129,8 @@ type joinPlan struct {
 // connecting equi-conjuncts; with no connected relation left, take the
 // smallest remaining as a cross-product step. Ties break to the lowest
 // FROM position, so the order is deterministic.
-func (e *Env) planJoins(where sqlast.Expr, rels []*relation, rows []float64, dist func(rel, col int) float64) *joinPlan {
-	if e.Naive || where == nil {
-		return nil
-	}
-	conds := e.collectEquiConds(where, rels)
-	if len(conds) == 0 {
+func (e *Env) planJoins(conds []equiCond, rows []float64, dist func(rel, col int) float64) *joinPlan {
+	if e.Naive || len(conds) == 0 {
 		return nil
 	}
 	n := len(rows)
@@ -246,19 +187,19 @@ func (e *Env) planJoins(where sqlast.Expr, rels []*relation, rows []float64, dis
 // columns: base tables use the storage layer's incrementally-maintained
 // column statistics; transition tables (rule-local data with no stored
 // stats) are counted exactly over their materialized rows.
-func (e *Env) distinctEstimator(rels []*relation) func(rel, col int) float64 {
+func (e *Env) distinctEstimator(blk *block, rels []relation) func(rel, col int) float64 {
 	type rc struct{ rel, col int }
 	cache := make(map[rc]float64)
 	lookup := func(rel, col int) float64 {
-		r := rels[rel]
-		if !r.trans && r.table != "" {
-			if cs, err := e.Store.ColumnStats(r.table, col); err == nil {
+		if f := &blk.from[rel]; f.tr.Trans == sqlast.TransNone {
+			if cs, err := e.Store.ColumnStats(f.schema.Name, col); err == nil {
 				return float64(cs.Distinct)
 			}
 		}
+		r := &rels[rel]
 		seen := make(map[value.Key]bool)
-		for _, tr := range r.rows {
-			if k, ok := value.KeyNumeric(tr.Values[col]); ok {
+		for p := int32(0); int(p) < r.n; p++ {
+			if k, ok := value.KeyNumeric(r.row(p)[col]); ok {
 				seen[k] = true
 			}
 		}
@@ -285,7 +226,7 @@ func connectingConds(conds []equiCond, joined []bool, r int) []equiCond {
 		case joined[c.lrel] && c.rrel == r:
 			out = append(out, c)
 		case joined[c.rrel] && c.lrel == r:
-			out = append(out, equiCond{lrel: c.rrel, lcol: c.rcol, rrel: c.lrel, rcol: c.lcol, exact: c.exact})
+			out = append(out, equiCond{conj: c.conj, lrel: c.rrel, lcol: c.rcol, rrel: c.lrel, rcol: c.lcol, exact: c.exact})
 		}
 		if len(out) == maxJoinKeyCols {
 			break
@@ -302,18 +243,8 @@ func maxf(a, b float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Volcano operators over position vectors
+// Hash joins over position arenas
 // ---------------------------------------------------------------------------
-
-// A comboOp is a Volcano iterator producing position vectors ("combos"):
-// combo[i] is the row index bound for relation i (-1 while unbound). Each
-// operator reuses one buffer, so a combo is valid only until the next call
-// to next.
-type comboOp interface {
-	open() error
-	next() ([]int32, bool, error)
-	close()
-}
 
 // joinKey is a composite hash key of up to maxJoinKeyCols columns.
 type joinKey struct {
@@ -328,13 +259,14 @@ func condKey(c equiCond, v value.Value) (value.Key, bool) {
 	return value.KeyNumeric(v)
 }
 
-// rightKey keys a row of the step's right relation. ok is false when any
-// key column is NULL (a NULL join key matches nothing).
-func rightKey(st joinStep, row storage.Row) (joinKey, bool) {
+// compositeKey keys the columns of a step's conjuncts, reading each
+// column's value through at. ok is false when any key column is NULL (a
+// NULL join key matches nothing).
+func compositeKey(conds []equiCond, at func(c equiCond) value.Value) (joinKey, bool) {
 	var k joinKey
-	k.n = int8(len(st.conds))
-	for i, c := range st.conds {
-		key, ok := condKey(c, row[c.rcol])
+	k.n = int8(len(conds))
+	for i, c := range conds {
+		key, ok := condKey(c, at(c))
 		if !ok {
 			return joinKey{}, false
 		}
@@ -343,161 +275,147 @@ func rightKey(st joinStep, row storage.Row) (joinKey, bool) {
 	return k, true
 }
 
-// leftKey keys an input combo on the step's left-side columns.
-func leftKey(st joinStep, rels []*relation, combo []int32) (joinKey, bool) {
-	var k joinKey
-	k.n = int8(len(st.conds))
-	for i, c := range st.conds {
-		v := rels[c.lrel].rows[combo[c.lrel]].Values[c.lcol]
-		key, ok := condKey(c, v)
+// buckets is a hash join's build side: the positions of the right
+// relation's rows grouped by key, each key's contiguous in rows and in
+// relation order. id maps a key to its bucket.
+type buckets[K comparable] struct {
+	id    map[K]int32
+	start []int32 // bucket b is rows[start[b]:start[b+1]]
+	rows  []int32
+}
+
+// buildBuckets groups the rows of r by key; key reports false for a row
+// that matches nothing.
+func buildBuckets[K comparable](r *relation, key func(storage.Row) (K, bool)) *buckets[K] {
+	t := &buckets[K]{id: make(map[K]int32)}
+	of := make([]int32, r.n) // each row's bucket, -1 for none
+	var count []int32
+	for p := range of {
+		k, ok := key(r.row(int32(p)))
 		if !ok {
-			return joinKey{}, false
+			of[p] = -1
+			continue
 		}
-		k.k[i] = key
+		b, seen := t.id[k]
+		if !seen {
+			b = int32(len(count))
+			t.id[k] = b
+			count = append(count, 0)
+		}
+		of[p] = b
+		count[b]++
 	}
-	return k, true
-}
-
-// scanOp emits one combo per row of the starting relation.
-type scanOp struct {
-	rel, rows int
-	i         int
-	buf       []int32
-}
-
-func newScanOp(n, rel, rows int) *scanOp {
-	buf := make([]int32, n)
-	for j := range buf {
-		buf[j] = -1
+	t.start = make([]int32, len(count)+1)
+	for b, n := range count {
+		t.start[b+1] = t.start[b] + n
 	}
-	return &scanOp{rel: rel, rows: rows, buf: buf}
-}
-
-func (s *scanOp) open() error { s.i = 0; return nil }
-func (s *scanOp) close()      {}
-
-func (s *scanOp) next() ([]int32, bool, error) {
-	if s.i >= s.rows {
-		return nil, false, nil
-	}
-	s.buf[s.rel] = int32(s.i)
-	s.i++
-	return s.buf, true, nil
-}
-
-// hashJoinOp joins the input stream with the step's right relation through
-// a hash table built on the right side. With no connecting conjuncts it
-// degenerates to a cross-product step.
-type hashJoinOp struct {
-	input comboOp
-	rels  []*relation
-	step  joinStep
-
-	// probe returns the right rows matching an input combo.
-	probe func(combo []int32) []int32
-
-	out     []int32
-	matches []int32
-	mi      int
-}
-
-// buildTable maps each key of the right relation's rows to their
-// positions; key reports false for a row that matches nothing.
-func buildTable[K comparable](rows []TransRow, key func(storage.Row) (K, bool)) map[K][]int32 {
-	table := make(map[K][]int32)
-	for i, tr := range rows {
-		if k, ok := key(tr.Values); ok {
-			table[k] = append(table[k], int32(i))
+	t.rows = make([]int32, t.start[len(count)])
+	next := count[:0:0]
+	next = append(next, t.start[:len(count)]...)
+	for p, b := range of {
+		if b >= 0 {
+			t.rows[next[b]] = int32(p)
+			next[b]++
 		}
 	}
-	return table
+	return t
 }
 
-func (o *hashJoinOp) open() error {
-	if err := o.input.open(); err != nil {
-		return err
-	}
-	o.out = make([]int32, len(o.rels))
-	right := o.rels[o.step.right]
-	switch len(o.step.conds) {
-	case 0:
-		all := make([]int32, len(right.rows))
-		for i := range right.rows {
-			all[i] = int32(i)
-		}
-		o.probe = func([]int32) []int32 { return all }
-	case 1:
-		// One conjunct keys by the column's own value.Key: no composite
-		// key to build or hash per row.
-		c := o.step.conds[0]
-		table := buildTable(right.rows, func(row storage.Row) (value.Key, bool) { return condKey(c, row[c.rcol]) })
-		left := o.rels[c.lrel].rows
-		o.probe = func(combo []int32) []int32 {
-			k, ok := condKey(c, left[combo[c.lrel]].Values[c.lcol])
-			if !ok {
-				return nil
+// join extends each of the m input combinations in (k positions each; nil
+// for the start relation's rows, combination c being row c of relation
+// start) by the rows of st.right in the bucket of its key, and returns the
+// joined combinations in an arena of exactly their number.
+func join[K comparable](rels []relation, start int, in []int32, m int, st joinStep, t *buckets[K], key func(c int) (K, bool)) ([]int32, int) {
+	k := len(rels)
+	bucket := make([]int32, m)
+	total := 0
+	for c := range bucket {
+		bucket[c] = -1
+		if key, ok := key(c); ok {
+			if b, found := t.id[key]; found {
+				bucket[c] = b
+				total += int(t.start[b+1] - t.start[b])
 			}
-			return table[k]
 		}
-	default:
-		table := buildTable(right.rows, func(row storage.Row) (joinKey, bool) { return rightKey(o.step, row) })
-		o.probe = func(combo []int32) []int32 {
-			k, ok := leftKey(o.step, o.rels, combo)
-			if !ok {
-				return nil
+	}
+	out := make([]int32, total*k)
+	o := 0
+	for c, b := range bucket {
+		if b < 0 {
+			continue
+		}
+		for _, r := range t.rows[t.start[b]:t.start[b+1]] {
+			dst := out[o*k : o*k+k]
+			if in == nil {
+				dst[start] = int32(c)
+			} else {
+				copy(dst, in[c*k:c*k+k])
 			}
-			return table[k]
+			dst[st.right] = r
+			o++
 		}
 	}
-	return nil
+	return out, total
 }
 
-func (o *hashJoinOp) close() { o.input.close() }
-
-func (o *hashJoinOp) next() ([]int32, bool, error) {
-	for o.mi >= len(o.matches) {
-		c, ok, err := o.input.next()
-		if err != nil || !ok {
-			return nil, false, err
+// crossJoin extends each of the m input combinations by every row of
+// st.right.
+func crossJoin(rels []relation, start int, in []int32, m int, st joinStep) ([]int32, int) {
+	k, n := len(rels), rels[st.right].n
+	out := make([]int32, m*n*k)
+	o := 0
+	for c := 0; c < m; c++ {
+		for r := 0; r < n; r++ {
+			dst := out[o*k : o*k+k]
+			if in == nil {
+				dst[start] = int32(c)
+			} else {
+				copy(dst, in[c*k:c*k+k])
+			}
+			dst[st.right] = int32(r)
+			o++
 		}
-		copy(o.out, c)
-		o.matches, o.mi = o.probe(c), 0
 	}
-	o.out[o.step.right] = o.matches[o.mi]
-	o.mi++
-	return o.out, true, nil
+	return out, m * n
 }
 
-// restoreOrderOp drains its input and re-emits the combos in the
-// nested-loop odometer's emission order: lexicographic on the position
-// vector, position 0 outermost.
-type restoreOrderOp struct {
-	input comboOp
-	rels  []*relation
-
-	arena []int32 // the drained combos, len(rels) positions each
-	order []int32 // emission order as combo numbers; nil when drained in order
-	i     int
-}
-
-func (o *restoreOrderOp) open() error {
-	if err := o.input.open(); err != nil {
-		return err
-	}
-	for {
-		c, ok, err := o.input.next()
-		if err != nil {
-			return err
+// drain runs plan's steps over rels and returns every combination that
+// survives them, len(rels) positions each, in the order the steps produce
+// them.
+func drain(rels []relation, plan *joinPlan) []int32 {
+	k := len(rels)
+	var in []int32
+	m := rels[plan.start].n
+	for _, st := range plan.steps {
+		// left returns the row of relation rel in input combination c.
+		left := func(c, rel int) storage.Row {
+			if in == nil {
+				return rels[rel].row(int32(c))
+			}
+			return rels[rel].row(in[c*k+rel])
 		}
-		if !ok {
-			break
+		right := &rels[st.right]
+		switch len(st.conds) {
+		case 0:
+			in, m = crossJoin(rels, plan.start, in, m, st)
+		case 1:
+			// One conjunct keys by the column's own value.Key: no
+			// composite key to build or hash per row.
+			c := st.conds[0]
+			t := buildBuckets(right, func(row storage.Row) (value.Key, bool) { return condKey(c, row[c.rcol]) })
+			in, m = join(rels, plan.start, in, m, st, t, func(combo int) (value.Key, bool) {
+				return condKey(c, left(combo, c.lrel)[c.lcol])
+			})
+		default:
+			t := buildBuckets(right, func(row storage.Row) (joinKey, bool) {
+				return compositeKey(st.conds, func(c equiCond) value.Value { return row[c.rcol] })
+			})
+			in, m = join(rels, plan.start, in, m, st, t, func(combo int) (joinKey, bool) {
+				return compositeKey(st.conds, func(c equiCond) value.Value { return left(combo, c.lrel)[c.lcol] })
+			})
 		}
-		o.arena = append(o.arena, c...)
 	}
-	if !inOdometerOrder(o.arena, len(o.rels)) {
-		o.order = odometerOrder(o.arena, o.rels)
-	}
-	return nil
+	return in
 }
 
 // inOdometerOrder reports whether the combos of arena, k positions each,
@@ -515,7 +433,7 @@ func inOdometerOrder(arena []int32, k int) bool {
 // their numbers in that order. It is a least-significant-digit radix sort:
 // one stable counting-sort pass per position, last position first, each
 // pass O(m + |rels[i]|) over m combos, so O(k·(m + |Rᵢ|)) in all.
-func odometerOrder(arena []int32, rels []*relation) []int32 {
+func odometerOrder(arena []int32, rels []relation) []int32 {
 	k := len(rels)
 	m := len(arena) / k
 	order, tmp := make([]int32, m), make([]int32, m)
@@ -524,7 +442,7 @@ func odometerOrder(arena []int32, rels []*relation) []int32 {
 	}
 	var start []int32
 	for p := k - 1; p >= 0; p-- {
-		start = slices.Grow(start[:0], len(rels[p].rows)+1)[:len(rels[p].rows)+1]
+		start = slices.Grow(start[:0], rels[p].n+1)[:rels[p].n+1]
 		clear(start)
 		for _, c := range order {
 			start[arena[int(c)*k+p]+1]++
@@ -542,50 +460,54 @@ func odometerOrder(arena []int32, rels []*relation) []int32 {
 	return order
 }
 
-func (o *restoreOrderOp) close() { o.input.close() }
-
-func (o *restoreOrderOp) next() ([]int32, bool, error) {
-	k := len(o.rels)
-	if o.i*k >= len(o.arena) {
-		return nil, false, nil
-	}
-	c := o.i
-	if o.order != nil {
-		c = int(o.order[o.i])
-	}
-	o.i++
-	return o.arena[c*k : c*k+k : c*k+k], true, nil
-}
-
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
-// forEachComboPlanned executes the planned operator tree and visits its
-// combinations, as forEachCombo does, in odometer order.
-func (e *Env) forEachComboPlanned(sel *sqlast.Select, sc *scope, rels []*relation, plan *joinPlan, fn func(pos []int32) error) error {
+// forEachComboPlanned drains the planned joins and visits their
+// combinations, as forEachCombo does, in odometer order, testing each
+// against the residual of WHERE.
+func (e *Env) forEachComboPlanned(blk *block, fr *frame, rels []relation, plan *joinPlan, reserve func(int), fn func(pos []int32) error) error {
 	if e.Counters != nil {
 		e.Counters.Planned.Add(1)
 	}
-	var op comboOp = newScanOp(len(rels), plan.start, len(rels[plan.start].rows))
+	k := len(rels)
+	arena := drain(rels, plan)
+	var order []int32
+	if !inOdometerOrder(arena, k) {
+		order = odometerOrder(arena, rels)
+	}
+	m := len(arena) / k
+	if reserve != nil {
+		reserve(m)
+	}
+	where := residual(blk, plan)
+	for i := 0; i < m; i++ {
+		c := i
+		if order != nil {
+			c = int(order[i])
+		}
+		if err := e.visit(blk, fr, rels, where, arena[c*k:c*k+k:c*k+k], fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// residual returns blk's WHERE without the conjuncts plan's hash steps
+// enforce; nil when they are all of it.
+func residual(blk *block, plan *joinPlan) predFn {
+	enforced := make([]bool, len(blk.conj))
 	for _, st := range plan.steps {
-		op = &hashJoinOp{input: op, rels: rels, step: st}
-	}
-	root := &restoreOrderOp{input: op, rels: rels}
-	if err := root.open(); err != nil {
-		return err
-	}
-	defer root.close()
-	for {
-		c, ok, err := root.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := e.visit(sel, sc, rels, c, fn); err != nil {
-			return err
+		for _, c := range st.conds {
+			enforced[c.conj] = true
 		}
 	}
+	var rest []conjunct
+	for i := range blk.conj {
+		if !enforced[i] {
+			rest = append(rest, blk.conj[i])
+		}
+	}
+	return conjoin(rest)
 }

@@ -60,6 +60,29 @@ func (h *heap) at(pos int) *Tuple {
 	return h.spine[pos>>chunkShift].rows[pos&chunkMask]
 }
 
+// View is a read-only, position-indexed view of one version of a table:
+// its heap spine and row count as they stood when the view was taken.
+// Positions 0..Len()-1 address the rows in physical (scan) order. A view
+// of a published snapshot never changes. A view of the live store is
+// valid until the writer next mutates that table: chunks of the writer's
+// own generation are mutated in place, so a caller must finish reading
+// before it writes.
+type View struct {
+	spine []*chunk
+	n     int
+}
+
+// Len returns the number of rows in the view.
+func (v View) Len() int { return v.n }
+
+// At returns the tuple at position pos (0 <= pos < Len()).
+func (v View) At(pos int) *Tuple {
+	return v.spine[pos>>chunkShift].rows[pos&chunkMask]
+}
+
+// view returns a view of the heap as it stands.
+func (h *heap) view() View { return View{spine: h.spine, n: h.n} }
+
 // scan calls fn for every row in physical order until fn returns false.
 func (h *heap) scan(fn func(*Tuple) bool) {
 	left := h.n

@@ -121,6 +121,13 @@ func scanTable(td *tableData, c *accessCounters, fn func(*Tuple) bool) {
 	td.heap.scan(fn)
 }
 
+// viewTable returns a view of the table's rows, bumping the heap-scan
+// counter: a view is read as a scan is.
+func viewTable(td *tableData, c *accessCounters) View {
+	c.heapScans.Add(1)
+	return td.heap.view()
+}
+
 // Catalog returns the snapshot's schema catalog (frozen: DDL replaces the
 // catalog rather than mutating it).
 func (sn *Snapshot) Catalog() *catalog.Catalog { return sn.cat }
@@ -138,6 +145,16 @@ func (sn *Snapshot) Scan(table string, fn func(*Tuple) bool) error {
 	}
 	scanTable(td, sn.counters, fn)
 	return nil
+}
+
+// View returns a position-indexed view of the named table in the
+// snapshot, counted as one heap scan. It never changes.
+func (sn *Snapshot) View(table string) (View, error) {
+	td, err := sn.table(table)
+	if err != nil {
+		return View{}, err
+	}
+	return viewTable(td, sn.counters), nil
 }
 
 // Count returns the number of tuples in the named table.

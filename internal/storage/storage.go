@@ -525,6 +525,17 @@ func (s *Store) Scan(table string, fn func(*Tuple) bool) error {
 	return nil
 }
 
+// View returns a position-indexed view of the named table's current
+// version (see View), counted as one heap scan. The view is valid until
+// the next write to the table.
+func (s *Store) View(table string) (View, error) {
+	td, err := s.table(table)
+	if err != nil {
+		return View{}, err
+	}
+	return viewTable(td, s.counters), nil
+}
+
 // Count returns the number of tuples in the named table.
 func (s *Store) Count(table string) (int, error) {
 	td, err := s.table(table)
