@@ -150,6 +150,12 @@ func TestPlannerParity(t *testing.T) {
 	// Incomparable column kinds: the conjunct is not a join key, so the
 	// comparison error surfaces exactly as in the nested loop.
 	runBoth(t, e, `select e.name from emp e, dept d where e.name = d.dept_no`, "cannot compare VARCHAR with INTEGER")
+	// A residual conjunct on each side of the hash-enforced one: the
+	// planned driver evaluates only the residual, Naive all of WHERE.
+	runBoth(t, e, `select e.name, d.mgr_no from emp e, dept d
+	   where e.salary > 2000 and e.dept_no = d.dept_no and d.mgr_no < 2`, "")
+	runBoth(t, e, `select e.name from emp e, dept d
+	   where e.salary > 2000 and e.dept_no = d.dept_no and e.name < d.mgr_no`, "cannot compare VARCHAR with INTEGER")
 }
 
 // TestHashJoinEquivalence: over joinEnv's NULL, duplicate and int-vs-float

@@ -3,6 +3,8 @@ package repl
 import (
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +36,31 @@ func TestApplyRecordRejectsGaps(t *testing.T) {
 	}
 	if got := f.AppliedLSN(); got != 1 {
 		t.Fatalf("applied = %d, want 1", got)
+	}
+}
+
+// TestSetConnRefusedAfterStop: a connection Run dials while Close runs
+// must not be kept, or a stream read on it would block Close forever:
+// once stop is closed, setConn refuses and closes it.
+func TestSetConnRefusedAfterStop(t *testing.T) {
+	f, err := NewFollower("unused:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.stopOnce.Do(func() { close(f.stop) })
+	a, b := net.Pipe()
+	defer b.Close()
+	if f.setConn(a) {
+		t.Fatal("setConn accepted a connection after stop was closed")
+	}
+	if _, err := a.Write([]byte{0}); !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("write on the refused end: %v, want it closed", err)
+	}
+	f.connMu.Lock()
+	kept := f.conn
+	f.connMu.Unlock()
+	if kept != nil {
+		t.Fatal("setConn kept the refused connection")
 	}
 }
 

@@ -34,7 +34,9 @@ func (n *Node) Run() {
 		}
 		nc, err := net.DialTimeout("tcp", leader, n.cfg.DialTimeout)
 		if err == nil {
-			n.setConn(nc)
+			if !n.setConn(nc) {
+				return // Close ran while we dialed
+			}
 			start := n.AppliedLSN()
 			err = n.stream(nc)
 			_ = nc.Close()
@@ -332,10 +334,23 @@ func (n *Node) reportReset(discarded uint64, err error) {
 	}
 }
 
-func (n *Node) setConn(nc net.Conn) {
+// setConn records nc as the stream's connection, which Close closes. Once
+// Close has begun it refuses: it closes nc and returns false, since
+// Close's own closeConn may already have run and nothing else would
+// unblock a stream read on nc. Checking stop under connMu orders the two.
+func (n *Node) setConn(nc net.Conn) bool {
 	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if nc != nil {
+		select {
+		case <-n.stop:
+			_ = nc.Close()
+			return false
+		default:
+		}
+	}
 	n.conn = nc
-	n.connMu.Unlock()
+	return true
 }
 
 func (n *Node) closeConn() {
